@@ -1,24 +1,22 @@
 """Execute comparator networks: local stable ranks, scatter-add, reduce.
 
 Each comparator computes the stable ranks of its slice of the input and the
-engine adds them into a global integer accumulator. Within a level the
-comparators touch disjoint positions and across levels integer addition is
-associative and commutative, so the result is bit-identical for any worker
-count or scheduling order.
+engine adds them into a global integer accumulator, one arity at a time,
+reading the per-arity index arrays that every network lays out when it is
+made. Integer addition is associative and commutative, so the result does
+not depend on the order in which comparators are evaluated.
 """
 
 from __future__ import annotations
 
 import io
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, PermutationError
-from .netbuild import Level, Network
+from .netbuild import Network
 from .rankcore import as_keys
 
 __all__ = [
@@ -28,9 +26,6 @@ __all__ = [
     "PartialRankTable",
     "table_to_csv",
 ]
-
-# comparator work is tiny; below this size dispatch overhead dominates
-PARALLEL_THRESHOLD = 64
 
 
 def _local_ranks(vals: np.ndarray) -> np.ndarray:
@@ -59,28 +54,18 @@ def _accumulate(x: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
 def execute(net: Network, x, workers: int | None = None) -> np.ndarray:
     """Run the network on x and return the permutation vector.
 
-    Equals the stable rank of x for any valid builder topology. ``workers``
-    controls how comparator batches are fanned out; results do not depend
-    on it.
+    Equals the stable rank of x for any valid network. Execution is serial:
+    ``workers`` is accepted for compatibility and has no effect.
     """
+    # Serial on purpose: on a 2-core host a thread pool was slower than this
+    # loop at every N up to 1024 (15-28x at N = 64) and gained only from
+    # N = 2048 on.
     a = as_keys(x)
     if a.size != net.n:
         raise DimensionError(f"input length {a.size} != network size {net.n}")
-    groups = net.arity_groups()
-    if workers is None:
-        workers = os.cpu_count() or 1
-    tasks: list[np.ndarray] = []
-    if workers > 1 and net.n >= PARALLEL_THRESHOLD:
-        for idx in groups.values():
-            tasks.extend(np.array_split(idx, workers))
-        tasks = [t for t in tasks if t.size]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda t: _accumulate(a, t, net.n), tasks))
-    else:
-        parts = [_accumulate(a, idx, net.n) for idx in groups.values()]
     acc = np.zeros(net.n, dtype=np.int64)
-    for p in parts:
-        acc += p
+    for idx in net.arity_groups().values():
+        acc += _accumulate(a, idx, net.n)
     return acc
 
 
@@ -93,18 +78,6 @@ class PartialRankTable:
     total: np.ndarray
 
 
-def _level_column(level: Level, a: np.ndarray, n: int) -> np.ndarray:
-    col = np.zeros(n, dtype=np.int64)
-    by_arity: dict[int, list[tuple[int, ...]]] = {}
-    for comp in level.comparators:
-        by_arity.setdefault(comp.arity, []).append(comp.indices)
-    for rows in by_arity.values():
-        idx = np.asarray(rows, dtype=np.int64)
-        # disjoint within a level, so plain assignment is safe
-        col[idx.ravel()] = _local_ranks(a[idx]).ravel()
-    return col
-
-
 def partial_rank_table(net: Network, x) -> PartialRankTable:
     """One partial-rank column per level, plus their sum (the permutation)."""
     a = as_keys(x)
@@ -113,10 +86,11 @@ def partial_rank_table(net: Network, x) -> PartialRankTable:
     columns = []
     total = np.zeros(net.n, dtype=np.int64)
     for li, level in enumerate(net.levels):
-        col = _level_column(level, a, net.n)
-        arities = sorted({c.arity for c in level.comparators})
-        label = f"L{li}(C{'/'.join(str(k) for k in arities)})"
-        columns.append((label, col))
+        idx = level.indices
+        col = np.zeros(net.n, dtype=np.int64)
+        # disjoint within a level, so plain assignment is safe
+        col[idx.ravel()] = _local_ranks(a[idx]).ravel()
+        columns.append((f"L{li}(C{level.arity})", col))
         total += col
     return PartialRankTable(net.n, columns, total)
 

@@ -1,6 +1,15 @@
 """Comparator network construction, validation, and serialization.
 
-Three builders are provided:
+A network is a sequence of levels. A level is one read-only (m, k) int64
+array: m comparators of arity k, one strictly increasing row of global
+indices each. The builders generate these arrays in closed form from the
+two index vectors
+
+    w(j)      = [jD, jD+1, ..., jD+D-1]
+    v(j, k)_i = (j + k*i) mod D + D*i,    i = 0..d-1
+
+and every network lays its levels out once, when it is made, as one array
+per arity for the engine. Three builders are provided:
 
 * binary_network  -- one binary comparator per unordered pair, scheduled
   into rounds by the circle method so each round's comparators are disjoint.
@@ -17,13 +26,19 @@ engine adds them into a global accumulator.
 
 from __future__ import annotations
 
+import itertools
 import json
+import numbers
+import operator
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, DomainError, ValidationError
 
 __all__ = [
     "Builder",
@@ -53,9 +68,13 @@ class Builder(str, Enum):
     PRIME = "prime"
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Comparator:
-    """A k-ary comparator identified by its strictly increasing global indices."""
+    """A k-ary comparator identified by its strictly increasing global indices.
+
+    Networks store comparators as rows of their levels' arrays; this is the
+    per-comparator form for writing or inspecting a network by hand.
+    """
 
     indices: tuple[int, ...]
 
@@ -64,47 +83,134 @@ class Comparator:
         return len(self.indices)
 
 
-@dataclass(slots=True)
+class _Comparators(Sequence):
+    """A level's rows as Comparator objects, made only when accessed."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: np.ndarray):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return self._rows.shape[0]
+
+    def __getitem__(self, i) -> Comparator:
+        return Comparator(tuple(self._rows[operator.index(i)].tolist()))
+
+    def __iter__(self):
+        return (Comparator(tuple(row)) for row in self._rows.tolist())
+
+
+def _index_array(rows) -> np.ndarray:
+    """An integer array, or nested lists of integers, as a read-only (m, k)
+    int64 array with m >= 1.
+
+    An array is viewed, not copied, so the caller's array stays writable.
+    """
+    if isinstance(rows, np.ndarray):
+        a = rows.view()
+    else:
+        try:
+            types = set(map(type, itertools.chain.from_iterable(rows)))
+        except TypeError as exc:
+            raise ValidationError(f"a comparator is not a list of indices: {exc}") from None
+        if not all(issubclass(t, numbers.Integral) and t is not bool for t in types):
+            names = sorted(t.__name__ for t in types)
+            raise ValidationError(f"comparator indices must be integers, got {names}")
+        try:
+            a = np.array(rows)
+        except ValueError:
+            raise ValidationError("comparators of one level must have one arity") from None
+    if a.ndim != 2 or a.shape[0] == 0 or a.dtype.kind not in "iu":
+        raise ValidationError(
+            f"a level must be a non-empty (m, k) integer array, got shape {a.shape}"
+            f" and dtype {a.dtype}"
+        )
+    a = a.astype(np.int64, copy=False)
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class Level:
-    """A set of comparators whose index sets are disjoint (one parallel round)."""
+    """One parallel round: m disjoint k-ary comparators.
 
-    comparators: list[Comparator]
+    ``indices`` is a read-only (m, k) int64 array, one row per comparator.
+    It may be given as an integer array, as rows of indices, or as a list of
+    Comparator objects of one arity.
+    """
+
+    indices: np.ndarray
+
+    def __post_init__(self):
+        rows = self.indices
+        if isinstance(rows, (list, tuple)) and rows and isinstance(rows[0], Comparator):
+            rows = [c.indices for c in rows]
+        object.__setattr__(self, "indices", _index_array(rows))
+
+    @property
+    def arity(self) -> int:
+        return self.indices.shape[1]
+
+    @property
+    def comparators(self) -> Sequence[Comparator]:
+        return _Comparators(self.indices)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Network:
+    """An immutable comparator network on N positions.
+
+    ``levels`` may be given as Level objects or as anything Level accepts.
+    The network copies all comparator indices once, into one read-only
+    (M, k) array per arity k (the layout the engine executes), and its
+    levels become views of those arrays. Each comparator must have arity
+    at least 2 and strictly increasing indices in [0, N); validate_network
+    checks the rest of the topology.
+    """
+
     n: int
-    levels: list[Level]
+    levels: tuple[Level, ...]
     builder: Builder
-    _groups: dict[int, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
+    _groups: Mapping[int, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        parts: dict[int, list[np.ndarray]] = {}
+        shapes = []
+        for li, level in enumerate(self.levels):
+            try:
+                idx = (level if isinstance(level, Level) else Level(level)).indices
+            except ValidationError as exc:
+                raise ValidationError(f"level {li}: {exc}") from None
+            parts.setdefault(idx.shape[1], []).append(idx)
+            shapes.append(idx.shape)
+        groups = {}
+        for k, arrays in sorted(parts.items()):
+            if k < 2:
+                raise ValidationError(f"comparator arity {k} < 2")
+            g = np.concatenate(arrays)
+            if g.min(initial=0) < 0 or g.max(initial=-1) >= self.n:
+                raise ValidationError(f"comparator index out of range [0, {self.n})")
+            if not (g[:, 1:] > g[:, :-1]).all():
+                raise ValidationError("comparator indices must be strictly increasing")
+            g.flags.writeable = False
+            groups[k] = g
+        # each arity's levels are consecutive row ranges of its array
+        start = dict.fromkeys(groups, 0)
+        levels = []
+        for m, k in shapes:
+            levels.append(Level(groups[k][start[k] : start[k] + m]))
+            start[k] += m
+        object.__setattr__(self, "levels", tuple(levels))
+        object.__setattr__(self, "_groups", MappingProxyType(groups))
 
     def comparators(self):
         for level in self.levels:
             yield from level.comparators
 
-    def arity_groups(self) -> dict[int, np.ndarray]:
-        """All comparator index lists, grouped by arity into (m, k) int arrays.
-
-        Cached; the arrays are also sanity checked (bounds, strict increase)
-        so the engine can trust them.
-        """
-        if self._groups is None:
-            raw: dict[int, list[tuple[int, ...]]] = {}
-            for comp in self.comparators():
-                raw.setdefault(len(comp.indices), []).append(comp.indices)
-            groups = {}
-            for k, rows in sorted(raw.items()):
-                idx = np.asarray(rows, dtype=np.int64)
-                if k < 2:
-                    raise ValidationError("comparator arity must be >= 2")
-                if idx.min(initial=0) < 0 or idx.max(initial=-1) >= self.n:
-                    raise ValidationError("comparator index out of range")
-                if k > 1 and not (np.diff(idx, axis=1) > 0).all():
-                    raise ValidationError("comparator indices must be strictly increasing")
-                groups[k] = idx
-            self._groups = groups
+    def arity_groups(self) -> Mapping[int, np.ndarray]:
+        """All comparator indices, one read-only (M, k) int64 array per arity
+        k, each level's rows in level order."""
         return self._groups
 
 
@@ -155,9 +261,10 @@ def index_vector_v(j: int, k: int, d: int, D: int) -> list[int]:
 
     Picks one position from each of the d contiguous blocks of size D;
     strictly increasing since consecutive elements differ by at least 1.
+    The scalar form of _cross_indices.
     """
     if not (0 <= j < D and 0 <= k < D):
-        raise IndexError(f"j and k must lie in [0, {D}), got j={j}, k={k}")
+        raise DomainError(f"j and k must lie in [0, {D}), got j={j}, k={k}")
     if d < 2:
         raise DimensionError(f"block count d must be >= 2, got {d}")
     return [(j + k * i) % D + D * i for i in range(d)]
@@ -166,10 +273,21 @@ def index_vector_v(j: int, k: int, d: int, D: int) -> list[int]:
 def index_vector_w(j: int, D: int, d: int | None = None) -> list[int]:
     """Contiguous block index vector [jD, jD+1, ..., jD+D-1]."""
     if j < 0 or (d is not None and j >= d):
-        raise IndexError(f"block index j={j} out of range")
+        raise DomainError(f"block index j={j} out of range")
     if D < 1:
         raise DimensionError(f"block size D must be >= 1, got {D}")
     return list(range(j * D, (j + 1) * D))
+
+
+def _cross_indices(d: int, D: int) -> np.ndarray:
+    """All cross-block index vectors: a (D, D, d) array whose [k, j] row is v(j, k)."""
+    # Over j, (j + k*i) mod D is 0..D-1 rotated by k*i mod D: a row of the
+    # (D, D) window view of one period, gathered instead of computed
+    rotations = sliding_window_view(np.arange(2 * D - 1) % D, D)
+    i = np.arange(d)
+    v = rotations[np.arange(D)[:, None] * i % D]  # [k, i, j]
+    v += D * i[:, None]
+    return v.transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -184,20 +302,19 @@ def binary_network(n: int) -> Network:
     """
     if n < 2:
         raise DimensionError(f"need N >= 2, got {n}")
-    m = n if n % 2 == 0 else n + 1
-    levels = []
-    for r in range(m - 1):
-        comps = []
-        a, b = m - 1, r
-        if a < n and b < n:
-            comps.append(Comparator((min(a, b), max(a, b))))
-        for i in range(1, m // 2):
-            a = (r + i) % (m - 1)
-            b = (r - i) % (m - 1)
-            if a < n and b < n:
-                comps.append(Comparator((min(a, b), max(a, b))))
-        levels.append(Level(comps))
-    return Network(n, levels, Builder.BINARY)
+    m = n + n % 2  # an odd N gets an idle slot, position m-1
+    c, p = m - 1, m // 2 - 1
+    # Round r pairs the hub m-1 with r, and (r+i) mod c with (r-i) mod c for
+    # i = 1..p. Both sequences rotate by one per round, so their (c, p)
+    # grids are windows over one period, taken without copying.
+    up = sliding_window_view(np.arange(1, c + p) % c, p)
+    down = sliding_window_view(np.arange(-p, c) % c, p)[:c, ::-1]
+    rounds = np.empty((c, p + 1, 2), dtype=np.int64)
+    rounds[:, 0, 0] = np.arange(c)
+    rounds[:, 0, 1] = m - 1
+    np.minimum(up, down, out=rounds[:, 1:, 0])
+    np.maximum(up, down, out=rounds[:, 1:, 1])
+    return Network(n, list(rounds if m == n else rounds[:, 1:]), Builder.BINARY)
 
 
 def divisor_network(n: int) -> Network:
@@ -211,44 +328,36 @@ def divisor_network(n: int) -> Network:
     """
     if n < 2:
         raise DimensionError(f"need N >= 2, got {n}")
-    if is_prime(n):
-        return Network(n, [Level([Comparator(tuple(range(n)))])], Builder.DIVISOR)
     d = smallest_prime_factor(n)
+    if d == n:
+        return Network(n, [np.arange(n)[None, :]], Builder.DIVISOR)
     D = n // d
-    levels = [Level([Comparator(tuple(index_vector_w(j, D, d))) for j in range(d)])]
-    for k in range(D):
-        levels.append(
-            Level([Comparator(tuple(index_vector_v(j, k, d, D))) for j in range(D)])
-        )
-    return Network(n, levels, Builder.DIVISOR)
+    blocks = np.arange(n).reshape(d, D)  # row j is w(j)
+    return Network(n, [blocks, *_cross_indices(d, D)], Builder.DIVISOR)
 
 
-def _prime_levels(pos: tuple[int, ...]) -> list[list[Comparator]]:
-    m = len(pos)
-    if is_prime(m):
-        return [[Comparator(pos)]]
+def _prime_levels(blocks: np.ndarray) -> list[np.ndarray]:
+    """Levels of the prime network on every row of a (B, m) array of positions.
+
+    All rows share one decomposition, so the B sibling sub-networks come out
+    merged: each level holds row 0's comparators, then row 1's, and so on.
+    """
+    B, m = blocks.shape
     d = smallest_prime_factor(m)
+    if d == m:
+        return [blocks]
     D = m // d
-    blocks = [_prime_levels(pos[j * D : (j + 1) * D]) for j in range(d)]
-    # Sibling blocks have identical shape; merge them level by level so each
-    # level spans the whole index range.
-    merged = [sum(parts, []) for parts in zip(*blocks)]
-    for k in range(D):
-        merged.append(
-            [
-                Comparator(tuple(pos[(j + k * i) % D + D * i] for i in range(d)))
-                for j in range(D)
-            ]
-        )
-    return merged
+    levels = _prime_levels(blocks.reshape(B * d, D))
+    cross = blocks[:, _cross_indices(d, D)]  # [b, k, j] is v(j, k) within block b
+    levels.extend(cross.transpose(1, 0, 2, 3).reshape(D, B * D, d))
+    return levels
 
 
 def prime_network(n: int) -> Network:
     """Recursive divisor decomposition down to prime-arity comparators."""
     if n < 2:
         raise DimensionError(f"need N >= 2, got {n}")
-    levels = [Level(comps) for comps in _prime_levels(tuple(range(n)))]
-    return Network(n, levels, Builder.PRIME)
+    return Network(n, _prime_levels(np.arange(n)[None, :]), Builder.PRIME)
 
 
 _BUILDERS = {
@@ -273,48 +382,54 @@ class ValidationReport:
 
 
 def validate_network(net: Network) -> ValidationReport:
-    """Structural checks: levels, pair coverage, index lists, arities.
+    """Structural checks: prime arities, levels, pair coverage.
 
     Level coverage of all N positions is required for divisor and prime
     builders; the binary builder idles one position per round when N is odd,
-    so only within-level disjointness is enforced there.
+    so only within-level disjointness is enforced there. Arity, index range
+    and index order are checked when the network is made.
     """
     v: list[str] = []
     n = net.n
-    for li, level in enumerate(net.levels):
-        seen: set[int] = set()
-        for comp in level.comparators:
-            idx = comp.indices
-            if len(idx) < 2:
-                v.append(f"level {li}: comparator arity {len(idx)} < 2")
-            if any(not (0 <= i < n) for i in idx):
-                v.append(f"level {li}: index out of range in {idx}")
-            if any(a >= b for a, b in zip(idx, idx[1:])):
-                v.append(f"level {li}: indices not strictly increasing in {idx}")
-            if seen.intersection(idx):
-                v.append(f"level {li}: comparators overlap at {sorted(seen & set(idx))}")
-            seen.update(idx)
-        if net.builder in (Builder.DIVISOR, Builder.PRIME) and len(seen) != n:
-            v.append(f"level {li}: does not cover all {n} positions")
-        if net.builder == Builder.PRIME:
-            for comp in level.comparators:
-                if not is_prime(comp.arity):
-                    v.append(f"level {li}: non-prime arity {comp.arity}")
+    m, k = np.array([level.indices.shape for level in net.levels], dtype=np.int64).reshape(-1, 2).T
+    if net.builder == Builder.PRIME:
+        for li, arity in enumerate(k.tolist()):
+            if not is_prime(arity):
+                v.append(f"level {li}: non-prime arity {arity}")
 
+    # per-level overlap and coverage: how often each level touches each
+    # position, from one count of level-tagged positions
+    groups = net.arity_groups()
+    tags = [np.empty(0, dtype=np.int64)]
+    for arity, idx in groups.items():
+        ids = np.flatnonzero(k == arity)
+        tags.append((np.repeat(ids, m[ids])[:, None] * n + idx).ravel())
+    tagged, times = np.unique(np.concatenate(tags), return_counts=True)
+    level_of, pos = np.divmod(tagged, n)
+    over = times > 1
+    lis, starts = np.unique(level_of[over], return_index=True)
+    for li, p in zip(lis.tolist(), np.split(pos[over], starts[1:])):
+        v.append(f"level {li}: comparators overlap at {p.tolist()}")
+    if net.builder in (Builder.DIVISOR, Builder.PRIME):
+        for li in np.flatnonzero(np.bincount(level_of, minlength=k.size) < n):
+            v.append(f"level {li}: does not cover all {n} positions")
+
+    # pair coverage: the pair total first, so that the (N, N) count below is
+    # made only for a network that holds all N(N-1)/2 pairs
+    total, expected = int((m * k * (k - 1) // 2).sum()), n * (n - 1) // 2
+    if total != expected:
+        v.append(f"comparators cover {total} pairs, not the {expected} of {n} positions")
+        return ValidationReport(False, v)
     counts = np.zeros(n * n, dtype=np.int64)
-    for comp in net.comparators():
-        idx = comp.indices
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                counts[idx[a] * n + idx[b]] += 1
-    iu, ju = np.triu_indices(n, 1)
-    bad = np.nonzero(counts[iu * n + ju] != 1)[0]
-    for t in bad[:10]:
-        v.append(
-            f"pair ({iu[t]},{ju[t]}) covered {counts[iu[t] * n + ju[t]]} times"
-        )
-    if bad.size > 10:
-        v.append(f"... and {bad.size - 10} more pair-coverage violations")
+    for arity, idx in groups.items():
+        a, b = np.triu_indices(arity, 1)
+        counts += np.bincount((idx[:, a] * n + idx[:, b]).ravel(), minlength=n * n)
+    covered = counts.reshape(n, n)
+    bad = np.argwhere(np.triu(covered != 1, 1))
+    for i, j in bad[:10].tolist():
+        v.append(f"pair ({i},{j}) covered {covered[i, j]} times")
+    if len(bad) > 10:
+        v.append(f"... and {len(bad) - 10} more pair-coverage violations")
     return ValidationReport(not v, v)
 
 
@@ -322,29 +437,46 @@ def validate_network(net: Network) -> ValidationReport:
 # serialization
 
 
+def _level_json(idx: np.ndarray) -> str:
+    m, k = idx.shape
+    row = '{"indices": [' + ", ".join(["%d"] * k) + "]}"
+    return "[" + ", ".join([row] * m) % tuple(idx.ravel().tolist()) + "]"
+
+
 def network_to_json(net: Network) -> str:
-    doc = {
-        "n": net.n,
-        "builder": net.builder.value,
-        "levels": [
-            [{"indices": list(c.indices)} for c in level.comparators]
-            for level in net.levels
-        ],
-    }
-    return json.dumps(doc)
+    """The network document, byte for byte as json.dumps writes it:
+    ``{"n": N, "builder": name, "levels": [[{"indices": [...]}, ...], ...]}``.
+    """
+    levels = ", ".join(_level_json(level.indices) for level in net.levels)
+    builder = json.dumps(net.builder.value)
+    return f'{{"n": {net.n}, "builder": {builder}, "levels": [{levels}]}}'
+
+
+_INDICES = operator.itemgetter("indices")
 
 
 def network_from_json(doc) -> Network:
-    if isinstance(doc, (str, bytes)):
-        doc = json.loads(doc)
+    """Load a network document (JSON text or its parsed form).
+
+    Raises ValidationError for a malformed document, for indices that are
+    not integers (booleans included), for a level whose comparators differ
+    in arity, and for any network that validate_network rejects.
+    """
     try:
-        levels = [
-            Level([Comparator(tuple(c["indices"])) for c in level])
-            for level in doc["levels"]
-        ]
-        return Network(int(doc["n"]), levels, Builder(doc["builder"]))
+        if isinstance(doc, (str, bytes)):
+            doc = json.loads(doc)
+        n = doc["n"]
+        builder = Builder(doc["builder"])
+        levels = [list(map(_INDICES, level)) for level in doc["levels"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed network document: {exc}") from exc
+    if type(n) is not int or n < 1:
+        raise ValidationError(f"malformed network document: n must be an integer >= 1, got {n!r}")
+    net = Network(n, levels, builder)
+    report = validate_network(net)
+    if not report.ok:
+        raise ValidationError(f"invalid {builder.value} network: {report.violations[0]}")
+    return net
 
 
 def network_to_dot(net: Network) -> str:
@@ -354,19 +486,20 @@ def network_to_dot(net: Network) -> str:
     shared adder node that sums the partial ranks.
     """
     out = ["digraph ranknet {", "  rankdir=LR;"]
-    for i in range(net.n):
-        out.append(f'  x{i} [label="x{i}", shape=plaintext];')
+    out += [f'  x{i} [label="x{i}", shape=plaintext];' for i in range(net.n)]
     out.append('  adder [label="+", shape=doublecircle];')
     for li, level in enumerate(net.levels):
-        out.append(f"  subgraph cluster_L{li} {{")
-        out.append(f'    label="L{li}";')
-        for ci, comp in enumerate(level.comparators):
-            out.append(f'    c{li}_{ci} [label="C_{comp.arity}", shape=box];')
+        m, k = level.indices.shape
+        node = f'    c{li}_%d [label="C_{k}", shape=box];'
+        out += [f"  subgraph cluster_L{li} {{", f'    label="L{li}";']
+        out.append("\n".join([node] * m) % tuple(range(m)))
         out.append("  }")
     for li, level in enumerate(net.levels):
-        for ci, comp in enumerate(level.comparators):
-            for i in comp.indices:
-                out.append(f"  x{i} -> c{li}_{ci};")
-            out.append(f"  c{li}_{ci} -> adder;")
+        m, k = level.indices.shape
+        # per comparator c: "x{i} -> c" for each of its k indices i, then "c -> adder"
+        edges = "\n".join([f"  x%d -> c{li}_%d;"] * k + [f"  c{li}_%d -> adder;"])
+        args = np.repeat(np.arange(m)[:, None], 2 * k + 1, axis=1)
+        args[:, 0 : 2 * k : 2] = level.indices
+        out.append("\n".join([edges] * m) % tuple(args.ravel().tolist()))
     out.append("}")
     return "\n".join(out) + "\n"

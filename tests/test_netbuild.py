@@ -1,5 +1,8 @@
+import dataclasses
+import hashlib
 import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,10 @@ from ranknet import (
     Builder,
     Comparator,
     DimensionError,
+    DomainError,
+    Level,
+    Network,
+    ValidationError,
     ascending_factorization,
     binary_network,
     build_network,
@@ -57,9 +64,9 @@ class TestIndexVectors:
         assert index_vector_v(2, 1, 2, 3) == [2, 3]
 
     def test_v_out_of_range(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(DomainError):
             index_vector_v(3, 0, 2, 3)
-        with pytest.raises(IndexError):
+        with pytest.raises(DomainError):
             index_vector_v(0, -1, 2, 3)
 
     def test_v_strictly_increasing(self):
@@ -73,7 +80,7 @@ class TestIndexVectors:
         assert index_vector_w(0, 4) == [0, 1, 2, 3]
         assert index_vector_w(1, 4) == [4, 5, 6, 7]
         assert index_vector_w(1, 3) == [3, 4, 5]
-        with pytest.raises(IndexError):
+        with pytest.raises(DomainError):
             index_vector_w(2, 3, d=2)
 
 
@@ -96,6 +103,17 @@ class TestDivisorNetwork:
     def test_rejects_small(self):
         with pytest.raises(DimensionError):
             divisor_network(1)
+
+    def test_levels_are_index_vectors(self):
+        for n in [4, 6, 8, 9, 15, 30, 49]:
+            d = smallest_prime_factor(n)
+            D = n // d
+            levels = divisor_network(n).levels
+            assert levels[0].indices.tolist() == [index_vector_w(j, D, d) for j in range(d)]
+            for k in range(D):
+                assert levels[1 + k].indices.tolist() == [
+                    index_vector_v(j, k, d, D) for j in range(D)
+                ]
 
 
 class TestPrimeNetwork:
@@ -173,11 +191,48 @@ class TestValidation:
         assert validate_network(net).ok
 
     def test_fault_injection(self):
-        net = divisor_network(6)
-        net.levels[1].comparators[0] = Comparator((0, 4))  # was (0, 3)
-        report = validate_network(net)
+        levels = list(divisor_network(6).levels)
+        levels[1] = Level([Comparator((0, 4))] + list(levels[1].comparators)[1:])  # was (0, 3)
+        report = validate_network(Network(6, levels, Builder.DIVISOR))
         assert not report.ok
         assert any("pair" in v or "covered" in v for v in report.violations)
+
+    def test_built_network_is_read_only(self):
+        for builder in Builder:
+            net = build_network(12, builder)
+            with pytest.raises(ValueError):
+                net.levels[-1].indices[0, 0] = 1
+            for idx in net.arity_groups().values():
+                with pytest.raises(ValueError):
+                    idx[0, 0] = 1
+            with pytest.raises(ValueError):
+                net.levels[0].indices.flags.writeable = True
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                net.levels = ()
+            assert validate_network(net).ok
+
+    def test_network_copies_its_input(self):
+        rows = np.array([[0, 1, 2]])
+        net = Network(3, [rows], Builder.DIVISOR)
+        rows[0, 0] = 2
+        assert rows.flags.writeable
+        assert net.levels[0].indices.tolist() == [[0, 1, 2]]
+
+    def test_rejects_bad_levels(self):
+        for levels in (
+            [[(0, 1.5)]],  # non-integer index
+            [[(0, True)]],  # boolean index
+            [[(0, 1), (2, 3, 4)]],  # mixed arity
+            [[]],  # empty level
+            [[(0, 5)]],  # out of range
+            [[(-1, 1)]],
+            [[(1, 0)]],  # indices not strictly increasing
+            [[(0, 0)]],
+            [[(0,), (1,)]],  # arity below 2
+            [[0, 1]],  # a level of indices, not of comparators
+        ):
+            with pytest.raises(ValidationError):
+                Network(5, levels, Builder.DIVISOR)
 
 
 class TestSerialization:
@@ -198,6 +253,45 @@ class TestSerialization:
                 assert [
                     [c.indices for c in lev.comparators] for lev in loaded.levels
                 ] == [[c.indices for c in lev.comparators] for lev in net.levels]
+
+    def test_from_json_rejects_invalid_networks(self):
+        def doc(n, builder, *levels):
+            return json.dumps(
+                {
+                    "n": n,
+                    "builder": builder,
+                    "levels": [[{"indices": idx} for idx in lev] for lev in levels],
+                }
+            )
+
+        for text in (
+            # executed [3, 1, 4, 2] to [1, 0, 1, 0], not a permutation
+            doc(4, "binary", [[0, 1], [2, 3]]),
+            # executed [0, 1, 2, 3] to [0, 1, 0, 0], reading 1.5 as 1
+            doc(4, "binary", [[0, 1.5]]),
+            doc(2, "binary", [[False, True]]),
+            doc(6, "divisor", [[0, 1, 2], [3, 4]]),
+            doc(2, "binary", [[1, 0]]),
+            # a few bytes that must not make validation allocate N * N counts
+            doc(100000, "binary", [[0, 1]]),
+            doc(2.0, "binary", [[0, 1]]),
+            doc(2, "unknown", [[0, 1]]),
+            '{"n": 2, "builder": "binary", "levels": [[{"indices": [0, 1]}]',
+            '{"n": 2, "builder": "binary", "levels": [[[0, 1]]]}',
+            '{"n": 2, "builder": "binary"}',
+            "[]",
+        ):
+            with pytest.raises(ValidationError):
+                network_from_json(text)
+
+    def test_json_matches_pinned_layout(self):
+        pinned = json.loads(
+            (Path(__file__).parent / "data" / "network_json_sha256.json").read_text()
+        )
+        for builder, digests in pinned.items():
+            for n, digest in digests.items():
+                text = network_to_json(build_network(int(n), builder))
+                assert hashlib.sha256(text.encode()).hexdigest() == digest, (n, builder)
 
     def test_dot_export(self):
         dot = network_to_dot(divisor_network(6))
