@@ -49,8 +49,6 @@ def level_coefficients(n: int) -> dict[int, int]:
     The coefficient of prime p_i is (n / prod_{j<=i} p_j^{k_j}) *
     (p_i^{k_i} - 1) / (p_i - 1).
     """
-    if n < 2:
-        raise DimensionError(f"need N >= 2, got {n}")
     coeffs: dict[int, int] = {}
     rest = n
     for p, k in _unique_prime_powers(n):
@@ -61,8 +59,6 @@ def level_coefficients(n: int) -> dict[int, int]:
 
 def comparator_coefficients(n: int) -> dict[int, int]:
     """Number of p-ary comparators in the prime-partitioned network, per prime."""
-    if n < 2:
-        raise DimensionError(f"need N >= 2, got {n}")
     return {p: c * (n // p) for p, c in level_coefficients(n).items()}
 
 
@@ -72,8 +68,6 @@ def partial_rank_count(n: int) -> int:
     Equals sum over the ascending factorization f_1 <= ... <= f_m of
     n / (f_1 ... f_i).
     """
-    if n < 2:
-        raise DimensionError(f"need N >= 2, got {n}")
     total = 0
     rest = n
     for f in ascending_factorization(n):

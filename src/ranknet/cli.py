@@ -8,34 +8,41 @@ to calling the corresponding functions directly. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
 
 from . import analytics, engine, netbuild, rankcore
-from .errors import RankNetError
+from .errors import DimensionError, InvalidKey, RankNetError
 from .netbuild import Builder
 
 __all__ = ["main"]
 
 
-def _parse_numbers(text: str) -> list:
+def _parse_numbers(text: str) -> np.ndarray:
+    """Keys from comma or whitespace separated numbers.
+
+    All-integer input stays exact int64. Input with a decimal token is read
+    as float64, and an integer token that float64 would round is refused.
+    """
     tokens = text.replace(",", " ").split()
-    if not tokens:
-        raise ValueError("no numbers found in input")
-    out = []
-    for tok in tokens:
+    try:
+        keys = np.asarray([int(t) for t in tokens])
+    except ValueError:  # not all integers
         try:
-            out.append(int(tok))
-            continue
-        except ValueError:
-            pass
-        val = float(tok)  # may raise ValueError
-        if math.isnan(val) or math.isinf(val):
-            raise ValueError(f"non-finite value: {tok}")
-        out.append(val)
-    return out
+            keys = np.asarray([float(t) for t in tokens])
+        except ValueError as exc:
+            raise InvalidKey(str(exc)) from None
+    if keys.dtype.kind == "f":
+        # float64 holds every integer below 2**53 exactly
+        for i in np.flatnonzero(np.abs(keys) >= 2**53).tolist():
+            try:
+                exact = int(tokens[i]) == float(keys[i])
+            except ValueError:  # a decimal token
+                continue
+            if not exact:
+                raise InvalidKey(f"integer {tokens[i]} cannot be held exactly as a float64")
+    return rankcore.as_keys(keys)
 
 
 def _fmt(values) -> str:
@@ -43,29 +50,18 @@ def _fmt(values) -> str:
 
 
 def cmd_sort(args) -> int:
-    try:
-        if args.input:
-            with open(args.input) as fh:
-                text = fh.read()
-        else:
-            text = sys.stdin.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    try:
-        x = _parse_numbers(text)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if len(x) == 1:
-        pi = np.zeros(1, dtype=np.int64)
-        s = np.asarray(x)
+    if args.input:
+        with open(args.input) as fh:
+            text = fh.read()
     else:
-        net = netbuild.build_network(len(x), args.algo)
-        pi = engine.execute(net, x, workers=args.workers)
-        s = engine.apply_permutation(np.asarray(x), pi)
+        text = sys.stdin.read()
+    x = _parse_numbers(text)
+    if x.size == 1:
+        pi = np.zeros(1, dtype=np.int64)
+    else:
+        pi = engine.execute(netbuild.build_network(x.size, args.algo), x, workers=args.workers)
     print(f"pi: {_fmt(pi.tolist())}")
-    print(f"sorted: {_fmt(s.tolist())}")
+    print(f"sorted: {_fmt(engine.apply_permutation(x, pi).tolist())}")
     return 0
 
 
@@ -99,12 +95,8 @@ def cmd_seq(args) -> int:
     lines = [f"{n},{fn(n)}" for n in range(start, args.max + 1)]
     text = "\n".join(lines) + "\n"
     if args.csv:
-        try:
-            with open(args.csv, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+        with open(args.csv, "w") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return 0
@@ -129,20 +121,10 @@ def _verify_oracle(max_n: int, samples: int, rng) -> str | None:
     return None
 
 
-def _without_last_comparator(net: netbuild.Network) -> netbuild.Network:
-    """A copy of net that lacks its last comparator, so its pairs go uncovered."""
-    levels = [level.indices for level in net.levels]
-    levels[-1] = levels[-1][:-1]
-    return netbuild.Network(net.n, [idx for idx in levels if len(idx)], net.builder)
-
-
-def _verify_coverage(max_n: int, inject: str | None) -> str | None:
+def _verify_coverage(max_n: int) -> str | None:
     for n in range(2, max_n + 1):
         for builder in Builder:
-            net = netbuild.build_network(n, builder)
-            if inject == "pair-coverage" and n == max_n and builder == Builder.DIVISOR:
-                net = _without_last_comparator(net)
-            report = netbuild.validate_network(net)
+            report = netbuild.validate_network(netbuild.build_network(n, builder))
             if not report.ok:
                 return (
                     f"pair-coverage: FAIL n={n} builder={builder.value}: "
@@ -163,9 +145,11 @@ def _verify_counts(max_n: int) -> str | None:
 
 
 def cmd_verify(args) -> int:
+    if args.max < 2 or args.samples < 1:
+        raise DimensionError("verify needs --max >= 2 and --samples >= 1")
     rng = np.random.default_rng(args.seed)
     checks = [
-        ("pair-coverage", lambda: _verify_coverage(args.max, args.inject_fault)),
+        ("pair-coverage", lambda: _verify_coverage(args.max)),
         ("oracle-equivalence", lambda: _verify_oracle(args.max, args.samples, rng)),
         ("counting", lambda: _verify_counts(args.max)),
     ]
@@ -185,12 +169,8 @@ def cmd_export(args) -> int:
         if args.format == "json"
         else netbuild.network_to_dot(net)
     )
-    try:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    with open(args.out, "w") as fh:
+        fh.write(text)
     return 0
 
 
@@ -220,12 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--max", type=int, required=True)
     vp.add_argument("--samples", type=int, default=20)
     vp.add_argument("--seed", type=int, default=0)
-    vp.add_argument(
-        "--inject-fault",
-        choices=["pair-coverage"],
-        default=None,
-        help="test hook: corrupt a network to exercise failure reporting",
-    )
     vp.set_defaults(func=cmd_verify)
 
     ep = sub.add_parser("export", help="write a network as JSON or DOT")
@@ -241,9 +215,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except RankNetError as exc:
+    except (RankNetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, RankNetError) else 3
 
 
 if __name__ == "__main__":

@@ -51,6 +51,13 @@ def _accumulate(x: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
     )
 
 
+def _keys(net: Network, x) -> np.ndarray:
+    a = as_keys(x)
+    if a.size != net.n:
+        raise DimensionError(f"input length {a.size} != network size {net.n}")
+    return a
+
+
 def execute(net: Network, x, workers: int | None = None) -> np.ndarray:
     """Run the network on x and return the permutation vector.
 
@@ -60,9 +67,7 @@ def execute(net: Network, x, workers: int | None = None) -> np.ndarray:
     # Serial on purpose: on a 2-core host a thread pool was slower than this
     # loop at every N up to 1024 (15-28x at N = 64) and gained only from
     # N = 2048 on.
-    a = as_keys(x)
-    if a.size != net.n:
-        raise DimensionError(f"input length {a.size} != network size {net.n}")
+    a = _keys(net, x)
     acc = np.zeros(net.n, dtype=np.int64)
     for idx in net.arity_groups().values():
         acc += _accumulate(a, idx, net.n)
@@ -80,9 +85,7 @@ class PartialRankTable:
 
 def partial_rank_table(net: Network, x) -> PartialRankTable:
     """One partial-rank column per level, plus their sum (the permutation)."""
-    a = as_keys(x)
-    if a.size != net.n:
-        raise DimensionError(f"input length {a.size} != network size {net.n}")
+    a = _keys(net, x)
     columns = []
     total = np.zeros(net.n, dtype=np.int64)
     for li, level in enumerate(net.levels):

@@ -68,6 +68,15 @@ class Builder(str, Enum):
     PRIME = "prime"
 
 
+def _builder(name) -> Builder:
+    try:
+        return Builder(name)
+    except ValueError:
+        raise ValidationError(
+            f"unknown builder {name!r}, expected one of {[b.value for b in Builder]}"
+        ) from None
+
+
 @dataclass(frozen=True, slots=True)
 class Comparator:
     """A k-ary comparator identified by its strictly increasing global indices.
@@ -164,9 +173,11 @@ class Network:
     ``levels`` may be given as Level objects or as anything Level accepts.
     The network copies all comparator indices once, into one read-only
     (M, k) array per arity k (the layout the engine executes), and its
-    levels become views of those arrays. Each comparator must have arity
-    at least 2 and strictly increasing indices in [0, N); validate_network
-    checks the rest of the topology.
+    levels become views of those arrays. N must be an integer from 1 to
+    2**32, the builder a Builder or its name, and each comparator must have
+    arity at least 2 and strictly increasing indices in [0, N); anything
+    else raises ValidationError. validate_network checks the rest of the
+    topology.
     """
 
     n: int
@@ -175,6 +186,13 @@ class Network:
     _groups: Mapping[int, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
+        n = self.n
+        # beyond 2**32 positions no network fits in memory, and validation's
+        # level-tagged int64 positions could overflow
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 1 <= n <= 2**32:
+            raise ValidationError(f"n must be an integer from 1 to 2**32, got {n!r}")
+        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "builder", _builder(self.builder))
         parts: dict[int, list[np.ndarray]] = {}
         shapes = []
         for li, level in enumerate(self.levels):
@@ -294,14 +312,24 @@ def _cross_indices(d: int, D: int) -> np.ndarray:
 # builders
 
 
+def _size(n) -> int:
+    """A builder's N as an int: an integer (numpy's included) of at least 2."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DimensionError(f"N must be an integer, got {n!r}") from None
+    if n < 2:
+        raise DimensionError(f"need N >= 2, got {n}")
+    return n
+
+
 def binary_network(n: int) -> Network:
     """All N(N-1)/2 binary comparators, one per unordered pair.
 
     Rounds come from the circle method: N-1 rounds of N/2 pairs for even N,
     N rounds of (N-1)/2 pairs for odd N (one position idle per round).
     """
-    if n < 2:
-        raise DimensionError(f"need N >= 2, got {n}")
+    n = _size(n)
     m = n + n % 2  # an odd N gets an idle slot, position m-1
     c, p = m - 1, m // 2 - 1
     # Round r pairs the hub m-1 with r, and (r+i) mod c with (r-i) mod c for
@@ -326,8 +354,7 @@ def divisor_network(n: int) -> Network:
     since differences below d are invertible mod D. Prime N degenerates to a
     single N-ary comparator.
     """
-    if n < 2:
-        raise DimensionError(f"need N >= 2, got {n}")
+    n = _size(n)
     d = smallest_prime_factor(n)
     if d == n:
         return Network(n, [np.arange(n)[None, :]], Builder.DIVISOR)
@@ -355,8 +382,7 @@ def _prime_levels(blocks: np.ndarray) -> list[np.ndarray]:
 
 def prime_network(n: int) -> Network:
     """Recursive divisor decomposition down to prime-arity comparators."""
-    if n < 2:
-        raise DimensionError(f"need N >= 2, got {n}")
+    n = _size(n)
     return Network(n, _prime_levels(np.arange(n)[None, :]), Builder.PRIME)
 
 
@@ -368,7 +394,7 @@ _BUILDERS = {
 
 
 def build_network(n: int, builder: Builder | str) -> Network:
-    return _BUILDERS[Builder(builder)](n)
+    return _BUILDERS[_builder(builder)](n)
 
 
 # ---------------------------------------------------------------------------
@@ -465,17 +491,14 @@ def network_from_json(doc) -> Network:
     try:
         if isinstance(doc, (str, bytes)):
             doc = json.loads(doc)
-        n = doc["n"]
-        builder = Builder(doc["builder"])
+        n, builder = doc["n"], doc["builder"]
         levels = [list(map(_INDICES, level)) for level in doc["levels"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed network document: {exc}") from exc
-    if type(n) is not int or n < 1:
-        raise ValidationError(f"malformed network document: n must be an integer >= 1, got {n!r}")
     net = Network(n, levels, builder)
     report = validate_network(net)
     if not report.ok:
-        raise ValidationError(f"invalid {builder.value} network: {report.violations[0]}")
+        raise ValidationError(f"invalid {net.builder.value} network: {report.violations[0]}")
     return net
 
 

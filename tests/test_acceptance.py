@@ -7,7 +7,7 @@ lines.
 import functools
 import time
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 
@@ -210,8 +210,8 @@ def test_criterion_7_pair_coverage():
             binary_equiv = 0
             for k, idx in net.arity_groups().items():
                 binary_equiv += idx.shape[0] * k * (k - 1) // 2
-                for a, b in combinations(range(k), 2):
-                    codes.append(idx[:, a] * n + idx[:, b])
+                a, b = np.triu_indices(k, 1)
+                codes.append((idx[:, a] * n + idx[:, b]).ravel())
             counts = np.bincount(np.concatenate(codes), minlength=n * n)
             iu, ju = np.triu_indices(n, 1)
             assert (counts[iu * n + ju] == 1).all(), f"n={n} {builder}"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ranknet import (
+    Network,
     apply_permutation,
     divisor_network,
     execute,
@@ -11,6 +12,7 @@ from ranknet import (
     partial_rank_count,
     total_comparators,
 )
+from ranknet import netbuild
 from ranknet.cli import main
 
 
@@ -55,6 +57,32 @@ class TestSort:
         f.write_text("1,nan,3")
         code, _, _ = run(capsys, "sort", "--input", str(f))
         assert code == 2
+
+    def test_lossy_mixed_input_rejected(self, capsys, tmp_path):
+        # float64 rounds both large integers to 2**53; ranked, they came out 1,2,0
+        f = tmp_path / "in.txt"
+        f.write_text("9007199254740993,9007199254740992,0.5")
+        code, out, err = run(capsys, "sort", "--input", str(f))
+        assert code == 2
+        assert out == ""
+        assert "9007199254740993" in err
+        # integers of both signs beyond int64 are made float64 by numpy
+        f.write_text("-1,9223372036854775809,9223372036854775808")
+        code, _, err = run(capsys, "sort", "--input", str(f))
+        assert code == 2
+        assert "9223372036854775809" in err
+
+    def test_exact_input_kept(self, capsys, tmp_path):
+        f = tmp_path / "in.txt"
+        f.write_text("9007199254740993,9007199254740992,1")
+        code, out, _ = run(capsys, "sort", "--input", str(f))
+        assert code == 0
+        assert out == "pi: 2,1,0\nsorted: 1,9007199254740992,9007199254740993\n"
+        # 2**53 and 1e20 are exact in float64
+        f.write_text("9007199254740992,0.5,1e20")
+        code, out, _ = run(capsys, "sort", "--input", str(f))
+        assert code == 0
+        assert out == "pi: 1,0,2\nsorted: 0.5,9007199254740992.0,1e+20\n"
 
     def test_matches_library(self, capsys, tmp_path):
         x = [5, 12, 2, 3, 5, 7, 8, 6]
@@ -114,17 +142,31 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--max", "2", "--samples", "1")
         assert code == 0
 
-    def test_fault_injection(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "verify",
-            "--max",
-            "6",
-            "--samples",
-            "1",
-            "--inject-fault",
-            "pair-coverage",
-        )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--max", "-5"],
+            ["--max", "1"],
+            ["--max", "8", "--samples", "-1"],
+            ["--max", "8", "--samples", "0"],
+        ],
+    )
+    def test_rejects_vacuous_runs(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert "--max >= 2 and --samples >= 1" in err
+
+    def test_fault_injection(self, capsys, monkeypatch):
+        build = netbuild.build_network
+
+        def without_last_comparator(n, builder):
+            levels = [level.indices for level in build(n, builder).levels]
+            levels[-1] = levels[-1][:-1]
+            return Network(n, [idx for idx in levels if len(idx)], builder)
+
+        monkeypatch.setattr(netbuild, "build_network", without_last_comparator)
+        code, out, _ = run(capsys, "verify", "--max", "6", "--samples", "1")
         assert code == 1
         assert "pair-coverage: FAIL" in out
 

@@ -2,6 +2,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ranknet import (
     Builder,
@@ -44,6 +46,15 @@ class TestExecute:
         for _ in range(500):
             x = rng.integers(0, 4, 6) if rng.random() < 0.5 else rng.standard_normal(6)
             assert np.array_equal(execute(net, x), stable_rank(x))
+
+    @given(st.integers(2, 96), st.sampled_from(Builder), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_stable_rank_property(self, n, builder, data):
+        x = data.draw(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n)  # many ties
+            | st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n)
+        )
+        assert np.array_equal(execute(build_network(n, builder), x), stable_rank(x))
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):

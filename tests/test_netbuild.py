@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ranknet import (
     Builder,
@@ -234,6 +236,33 @@ class TestValidation:
             with pytest.raises(ValidationError):
                 Network(5, levels, Builder.DIVISOR)
 
+    def test_rejects_bad_builder_entry(self):
+        for n, builder, error in (
+            (5, "bogus", ValidationError),
+            (2.0, "binary", DimensionError),
+            ("8", "prime", DimensionError),
+            (True, "divisor", DimensionError),
+        ):
+            with pytest.raises(error):
+                build_network(n, builder)
+        net = build_network(np.int64(12), "prime")
+        assert type(net.n) is int and validate_network(net).ok
+
+    def test_rejects_bad_n_and_builder(self):
+        net = Network(2, [[(0, 1)]], "binary")
+        assert net.builder is Builder.BINARY
+        assert network_to_json(net) == network_to_json(binary_network(2))
+        for n, builder in (
+            (2, "bogus"),
+            (2.5, "binary"),
+            ("5", "binary"),
+            (True, "binary"),
+            (0, "binary"),
+            (10**30, "binary"),
+        ):
+            with pytest.raises(ValidationError):
+                Network(n, [[(0, 1)]], builder)
+
 
 class TestSerialization:
     def test_json_schema(self):
@@ -253,6 +282,12 @@ class TestSerialization:
                 assert [
                     [c.indices for c in lev.comparators] for lev in loaded.levels
                 ] == [[c.indices for c in lev.comparators] for lev in net.levels]
+
+    @given(st.integers(2, 96), st.sampled_from(Builder))
+    @settings(max_examples=60, deadline=None)
+    def test_json_round_trip_is_exact(self, n, builder):
+        text = network_to_json(build_network(n, builder))
+        assert network_to_json(network_from_json(text)) == text
 
     def test_from_json_rejects_invalid_networks(self):
         def doc(n, builder, *levels):
@@ -274,6 +309,8 @@ class TestSerialization:
             doc(2, "binary", [[1, 0]]),
             # a few bytes that must not make validation allocate N * N counts
             doc(100000, "binary", [[0, 1]]),
+            # raised OverflowError while validation tagged positions by level
+            doc(10**30, "binary", [[0, 1]]),
             doc(2.0, "binary", [[0, 1]]),
             doc(2, "unknown", [[0, 1]]),
             '{"n": 2, "builder": "binary", "levels": [[{"indices": [0, 1]}]',
