@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import csv
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,17 +33,6 @@ __all__ = [
 ]
 
 
-def _unique_prime_powers(n: int) -> list[tuple[int, int]]:
-    """(prime, multiplicity) pairs of n, primes ascending."""
-    pairs: list[tuple[int, int]] = []
-    for p in ascending_factorization(n):
-        if pairs and pairs[-1][0] == p:
-            pairs[-1] = (p, pairs[-1][1] + 1)
-        else:
-            pairs.append((p, 1))
-    return pairs
-
-
 def level_coefficients(n: int) -> dict[int, int]:
     """Number of levels of p-ary comparators, per unique prime p of n.
 
@@ -51,7 +41,7 @@ def level_coefficients(n: int) -> dict[int, int]:
     """
     coeffs: dict[int, int] = {}
     rest = n
-    for p, k in _unique_prime_powers(n):
+    for p, k in Counter(ascending_factorization(n)).items():
         rest //= p**k
         coeffs[p] = rest * (p**k - 1) // (p - 1)
     return coeffs
@@ -65,15 +55,10 @@ def comparator_coefficients(n: int) -> dict[int, int]:
 def partial_rank_count(n: int) -> int:
     """|L_N|: number of partial-rank columns to be added, i.e. total levels.
 
-    Equals sum over the ascending factorization f_1 <= ... <= f_m of
-    n / (f_1 ... f_i).
+    The sum of the level coefficients, which equals the sum over the
+    ascending factorization f_1 <= ... <= f_m of n / (f_1 ... f_i).
     """
-    total = 0
-    rest = n
-    for f in ascending_factorization(n):
-        rest //= f
-        total += rest
-    return total
+    return sum(level_coefficients(n).values())
 
 
 def addition_complexity(n: int) -> int:
@@ -84,19 +69,15 @@ def addition_complexity(n: int) -> int:
 def total_comparators(n: int) -> int:
     """|C_N|: comparator count of the prime-partitioned network.
 
-    Sum of n^2 / (f_i * f_1...f_i) over the ascending factorization; defined
-    as 0 for n = 1 to match the sequence's leading term.
+    The sum of the comparator coefficients, which equals the sum of
+    n^2 / (f_i * f_1...f_i) over the ascending factorization; defined as 0
+    for n = 1 to match the sequence's leading term.
     """
     if n < 1:
         raise DimensionError(f"need N >= 1, got {n}")
     if n == 1:
         return 0
-    total = 0
-    prod = 1
-    for f in ascending_factorization(n):
-        prod *= f
-        total += n * n // (f * prod)
-    return total
+    return sum(comparator_coefficients(n).values())
 
 
 @lru_cache(maxsize=None)

@@ -2,7 +2,8 @@
 
 Every command is a thin wrapper over the library; outputs are byte-identical
 to calling the corresponding functions directly. Exit codes: 0 success,
-1 verification failure, 2 usage or parse error, 3 I/O error.
+1 verification failure, 2 usage or parse error (input that is not UTF-8
+included), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def cmd_sort(args) -> int:
     if x.size == 1:
         pi = np.zeros(1, dtype=np.int64)
     else:
-        pi = engine.execute(netbuild.build_network(x.size, args.algo), x, workers=args.workers)
+        pi = engine.execute(netbuild.build_network(x.size, args.algo), x)
     print(f"pi: {_fmt(pi.tolist())}")
     print(f"sorted: {_fmt(engine.apply_permutation(x, pi).tolist())}")
     return 0
@@ -92,6 +93,8 @@ _SEQ_FUNCS = {
 
 def cmd_seq(args) -> int:
     start, fn = _SEQ_FUNCS[args.kind]
+    if args.max < start:
+        raise DimensionError(f"seq --kind {args.kind} needs --max >= {start}")
     lines = [f"{n},{fn(n)}" for n in range(start, args.max + 1)]
     text = "\n".join(lines) + "\n"
     if args.csv:
@@ -102,10 +105,15 @@ def cmd_seq(args) -> int:
     return 0
 
 
-def _verify_oracle(max_n: int, samples: int, rng) -> str | None:
+def _verify_networks(max_n: int, samples: int, rng) -> str | None:
+    """Build each network once, check its pair coverage, then its samples'
+    ranks against stable_rank; the first FAIL line, or None."""
     for n in range(2, max_n + 1):
         for builder in Builder:
             net = netbuild.build_network(n, builder)
+            report = netbuild.validate_network(net)
+            if not report.ok:
+                return f"pair-coverage: FAIL n={n} builder={builder.value}: {report.violations[0]}"
             for s in range(samples):
                 if s % 2 == 0:
                     x = rng.integers(0, max(n // 2, 1), size=n)
@@ -121,23 +129,11 @@ def _verify_oracle(max_n: int, samples: int, rng) -> str | None:
     return None
 
 
-def _verify_coverage(max_n: int) -> str | None:
-    for n in range(2, max_n + 1):
-        for builder in Builder:
-            report = netbuild.validate_network(netbuild.build_network(n, builder))
-            if not report.ok:
-                return (
-                    f"pair-coverage: FAIL n={n} builder={builder.value}: "
-                    + report.violations[0]
-                )
-    return None
-
-
 def _verify_counts(max_n: int) -> str | None:
     for n in range(2, max_n + 1):
-        if analytics.maundy_a(n) != analytics.partial_rank_count(n):
-            return f"maundy-identity: FAIL n={n}"
         ln = analytics.partial_rank_count(n)
+        if analytics.maundy_a(n) != ln:
+            return f"maundy-identity: FAIL n={n}"
         cn = analytics.total_comparators(n)
         if not (1 <= ln <= n - 1) or not (1 <= cn <= n * (n - 1) // 2):
             return f"bounds: FAIL n={n} |L_N|={ln} |C_N|={cn}"
@@ -147,18 +143,15 @@ def _verify_counts(max_n: int) -> str | None:
 def cmd_verify(args) -> int:
     if args.max < 2 or args.samples < 1:
         raise DimensionError("verify needs --max >= 2 and --samples >= 1")
-    rng = np.random.default_rng(args.seed)
-    checks = [
-        ("pair-coverage", lambda: _verify_coverage(args.max)),
-        ("oracle-equivalence", lambda: _verify_oracle(args.max, args.samples, rng)),
-        ("counting", lambda: _verify_counts(args.max)),
-    ]
-    for name, fn in checks:
-        failure = fn()
-        if failure:
-            print(failure)
-            return 1
-        print(f"{name}: ok")
+    failure = _verify_networks(args.max, args.samples, np.random.default_rng(args.seed))
+    if not failure:
+        print("pair-coverage: ok")
+        print("oracle-equivalence: ok")
+        failure = _verify_counts(args.max)
+    if failure:
+        print(failure)
+        return 1
+    print("counting: ok")
     return 0
 
 
@@ -181,9 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sort", help="rank and sort a sequence of numbers")
     sp.add_argument("--algo", choices=[b.value for b in Builder], default="binary")
     sp.add_argument("--input", help="file with newline/comma separated numbers")
-    sp.add_argument(
-        "--workers", type=int, default=None, help="accepted and ignored: execution is serial"
-    )
     sp.set_defaults(func=cmd_sort)
 
     ap = sub.add_parser("analyze", help="print the complexity profile for N")
@@ -215,9 +205,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (RankNetError, OSError) as exc:
+    except (RankNetError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, RankNetError) else 3
+        return 3 if isinstance(exc, OSError) else 2
 
 
 if __name__ == "__main__":

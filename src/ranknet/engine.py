@@ -86,15 +86,11 @@ class PartialRankTable:
 def partial_rank_table(net: Network, x) -> PartialRankTable:
     """One partial-rank column per level, plus their sum (the permutation)."""
     a = _keys(net, x)
-    columns = []
-    total = np.zeros(net.n, dtype=np.int64)
-    for li, level in enumerate(net.levels):
-        idx = level.indices
-        col = np.zeros(net.n, dtype=np.int64)
-        # disjoint within a level, so plain assignment is safe
-        col[idx.ravel()] = _local_ranks(a[idx]).ravel()
-        columns.append((f"L{li}(C{level.arity})", col))
-        total += col
+    columns = [
+        (f"L{li}(C{level.arity})", _accumulate(a, level.indices, net.n))
+        for li, level in enumerate(net.levels)
+    ]
+    total = sum((col for _, col in columns), np.zeros(net.n, dtype=np.int64))
     return PartialRankTable(net.n, columns, total)
 
 

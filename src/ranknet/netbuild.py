@@ -425,11 +425,8 @@ def validate_network(net: Network) -> ValidationReport:
 
     # per-level overlap and coverage: how often each level touches each
     # position, from one count of level-tagged positions
-    groups = net.arity_groups()
-    tags = [np.empty(0, dtype=np.int64)]
-    for arity, idx in groups.items():
-        ids = np.flatnonzero(k == arity)
-        tags.append((np.repeat(ids, m[ids])[:, None] * n + idx).ravel())
+    tags = [np.empty(0, dtype=np.int64)]  # a network may have no levels
+    tags += [li * n + level.indices.ravel() for li, level in enumerate(net.levels)]
     tagged, times = np.unique(np.concatenate(tags), return_counts=True)
     level_of, pos = np.divmod(tagged, n)
     over = times > 1
@@ -447,7 +444,7 @@ def validate_network(net: Network) -> ValidationReport:
         v.append(f"comparators cover {total} pairs, not the {expected} of {n} positions")
         return ValidationReport(False, v)
     counts = np.zeros(n * n, dtype=np.int64)
-    for arity, idx in groups.items():
+    for arity, idx in net.arity_groups().items():
         a, b = np.triu_indices(arity, 1)
         counts += np.bincount((idx[:, a] * n + idx[:, b]).ravel(), minlength=n * n)
     covered = counts.reshape(n, n)

@@ -106,6 +106,13 @@ def is_realizable(c) -> bool:
     return bool(np.array_equal(np.sort(sums), np.arange(n)))
 
 
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of all pairs i < j in the order (0,1),(0,2),(1,2),
+    (0,3),...: np.tril_indices walks (1,0),(2,0),(2,1),..., transposed."""
+    j, i = np.tril_indices(n, -1)
+    return i, j
+
+
 def delta_matrix(n: int) -> np.ndarray:
     """Signed pair-difference matrix of size N x N(N-1)/2.
 
@@ -117,29 +124,18 @@ def delta_matrix(n: int) -> np.ndarray:
     """
     if n < 2:
         raise DimensionError(f"delta_matrix needs N >= 2, got {n}")
-    m = n * (n - 1) // 2
-    d = np.zeros((n, m), dtype=np.int64)
-    col = 0
-    for j in range(1, n):
-        for i in range(j):
-            d[i, col] = 1
-            d[j, col] = -1
-            col += 1
+    i, j = _pairs(n)
+    cols = np.arange(i.size)
+    d = np.zeros((n, i.size), dtype=np.int64)
+    d[i, cols], d[j, cols] = 1, -1
     return d
 
 
 def half_vectorize(c) -> np.ndarray:
-    """Strict upper triangle of a comparison matrix as a flat vector.
-
-    Column-major order: (0,1),(0,2),(1,2),(0,3),... matching the column
-    order of delta_matrix.
-    """
+    """Strict upper triangle of a comparison matrix as a flat vector, in
+    the column order of delta_matrix."""
     c = _check_cmp(c)
-    n = c.shape[0]
-    rows, cols = np.tril_indices(n, -1)
-    # (rows, cols) walks (1,0),(2,0),(2,1),... which transposed is exactly
-    # the column-major upper triangle.
-    return c[cols, rows]
+    return c[_pairs(c.shape[0])]
 
 
 def delta_identity_check(x) -> bool:

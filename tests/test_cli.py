@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -84,6 +85,25 @@ class TestSort:
         assert code == 0
         assert out == "pi: 1,0,2\nsorted: 0.5,9007199254740992.0,1e+20\n"
 
+    def test_non_utf8_input_rejected(self, capsys, tmp_path, monkeypatch):
+        f = tmp_path / "in.txt"
+        f.write_bytes(b"1,\xff,2")
+        code, out, err = run(capsys, "sort", "--input", str(f))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        stdin = io.TextIOWrapper(io.BytesIO(b"1,\xff,2"), encoding="utf-8", errors="strict")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, "sort")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_workers_option_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sort", "--workers", "2"])
+        assert exc.value.code == 2
+
     def test_matches_library(self, capsys, tmp_path):
         x = [5, 12, 2, 3, 5, 7, 8, 6]
         f = tmp_path / "in.txt"
@@ -125,6 +145,16 @@ class TestSeq:
         assert code == 0
         rows = f.read_text().strip().splitlines()
         assert rows == [f"{n},{partial_rank_count(n)}" for n in range(2, 7)]
+
+    @pytest.mark.parametrize(
+        "kind, max_n, start",
+        [("levels", 1, 2), ("adds", 1, 2), ("adds", -3, 2), ("comparators", 0, 1)],
+    )
+    def test_rejects_vacuous_runs(self, capsys, kind, max_n, start):
+        code, out, err = run(capsys, "seq", "--kind", kind, "--max", str(max_n))
+        assert code == 2
+        assert out == ""
+        assert f"--max >= {start}" in err
 
     def test_invalid_kind(self, capsys):
         with pytest.raises(SystemExit) as exc:

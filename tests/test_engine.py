@@ -114,6 +114,14 @@ class TestPartialRankTable:
             table = partial_rank_table(prime_network(n), list(range(n)))
             assert len(table.columns) == partial_rank_count(n)
 
+    def test_overlapping_level_total_matches_execute(self):
+        # level 0's comparators share position 0; the table once assigned
+        # where execute adds, and its total came out [1, 1, 0]
+        net = Network(3, [[(0, 1), (0, 2)], [(1, 2)]], Builder.BINARY)
+        x = [2, 1, 0]
+        table = partial_rank_table(net, x)
+        assert table.total.tolist() == execute(net, x).tolist() == [2, 1, 0]
+
     def test_csv_layout(self):
         table = partial_rank_table(divisor_network(8), TABLE1_X)
         lines = table_to_csv(table, TABLE1_X).strip().splitlines()

@@ -186,6 +186,8 @@ class TestValidation:
         for n in [5, 6, 8, 12]:
             for builder in Builder:
                 assert validate_network(build_network(n, builder)).ok
+        # N = 1 has no pairs, so a network with no levels is complete
+        assert validate_network(Network(1, [], Builder.BINARY)).ok
 
     def test_binary_n5_pair_count(self):
         net = binary_network(5)
