@@ -14,8 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DimensionError, DomainError
-from .netbuild import ascending_factorization, is_prime, smallest_prime_factor
+from .errors import DomainError
+from .netbuild import _integer, _size, ascending_factorization, is_prime
 
 __all__ = [
     "ComplexityProfile",
@@ -40,7 +40,7 @@ def level_coefficients(n: int) -> dict[int, int]:
     (p_i^{k_i} - 1) / (p_i - 1).
     """
     coeffs: dict[int, int] = {}
-    rest = n
+    rest = n = _size(n)
     for p, k in Counter(ascending_factorization(n)).items():
         rest //= p**k
         coeffs[p] = rest * (p**k - 1) // (p - 1)
@@ -49,6 +49,7 @@ def level_coefficients(n: int) -> dict[int, int]:
 
 def comparator_coefficients(n: int) -> dict[int, int]:
     """Number of p-ary comparators in the prime-partitioned network, per prime."""
+    n = _size(n)
     return {p: c * (n // p) for p, c in level_coefficients(n).items()}
 
 
@@ -73,14 +74,12 @@ def total_comparators(n: int) -> int:
     n^2 / (f_i * f_1...f_i) over the ascending factorization; defined as 0
     for n = 1 to match the sequence's leading term.
     """
-    if n < 1:
-        raise DimensionError(f"need N >= 1, got {n}")
+    n = _size(n, 1)
     if n == 1:
         return 0
     return sum(comparator_coefficients(n).values())
 
 
-@lru_cache(maxsize=None)
 def maundy_a(n: int) -> int:
     """Maundy-cake value a(n) = max over divisors d > 1 of d * a(n/d) + 1.
 
@@ -88,21 +87,25 @@ def maundy_a(n: int) -> int:
     stays an independent oracle for partial_rank_count rather than a
     restatement of its formula.
     """
-    if n < 1:
-        raise DimensionError(f"need N >= 1, got {n}")
+    return _maundy(_size(n, 1))
+
+
+@lru_cache(maxsize=None)
+def _maundy(n: int) -> int:
     if n == 1:
         return 0
     best = 0
     d = 2
     while d * d <= n:
         if n % d == 0:
-            best = max(best, d * maundy_a(n // d) + 1, (n // d) * maundy_a(d) + 1)
+            best = max(best, d * _maundy(n // d) + 1, (n // d) * _maundy(d) + 1)
         d += 1
-    return max(best, n * maundy_a(1) + 1)
+    return max(best, n * _maundy(1) + 1)
 
 
 def prime_power_levels(p: int, k: int) -> int:
     """Level count for n = p^k in closed form: (p^k - 1) / (p - 1)."""
+    p, k = _integer(p), _integer(k)
     if not is_prime(p):
         raise DomainError(f"p must be prime, got {p}")
     if k < 1:
@@ -112,6 +115,7 @@ def prime_power_levels(p: int, k: int) -> int:
 
 def two_prime_levels(p1: int, k1: int, p2: int, k2: int) -> dict[int, int]:
     """Level coefficients for n = p1^k1 * p2^k2 in closed form, p1 < p2."""
+    p1, k1, p2, k2 = map(_integer, (p1, k1, p2, k2))
     if not (is_prime(p1) and is_prime(p2)) or p1 >= p2:
         raise DomainError(f"need primes p1 < p2, got {p1}, {p2}")
     if k1 < 1 or k2 < 1:
@@ -124,8 +128,7 @@ def two_prime_levels(p1: int, k1: int, p2: int, k2: int) -> dict[int, int]:
 
 def binary_equivalent(n: int) -> int:
     """Binary comparison count any decomposition conserves: N(N-1)/2."""
-    if n < 1:
-        raise DimensionError(f"need N >= 1, got {n}")
+    n = _size(n, 1)
     return n * (n - 1) // 2
 
 
@@ -161,8 +164,7 @@ def profile_csv(max_n: int, per_prime: bool = False) -> str:
     column per prime <= max_n with the level coefficient when per_prime is
     set.
     """
-    if max_n < 2:
-        raise DimensionError(f"need max_n >= 2, got {max_n}")
+    max_n = _size(max_n)
     primes = [p for p in range(2, max_n + 1) if is_prime(p)] if per_prime else []
     buf = io.StringIO()
     w = csv.writer(buf)

@@ -13,12 +13,15 @@ per arity for the engine. Three builders are provided:
 
 * binary_network  -- one binary comparator per unordered pair, scheduled
   into rounds by the circle method so each round's comparators are disjoint.
-* divisor_network -- one level of D-ary block comparators followed by D
-  levels of d-ary cross-block comparators, where d is the smallest prime
-  factor of N and D = N/d.
-* prime_network   -- divisor decomposition applied recursively until every
-  comparator arity is a prime factor of N; sibling sub-networks at equal
-  depth share levels so each level spans all N positions.
+* divisor_network -- the factor sequence (d, N/d), d the smallest prime
+  factor of N, or (N,) for prime N.
+* prime_network   -- N's ascending prime factorization.
+
+Both are one recursion over a factor sequence whose product is N. Its first
+factor d splits the positions into d blocks of D = N/d; the rest of the
+sequence builds every block, the blocks sharing levels so each level spans
+all N positions; then D levels of d-ary cross-block comparators v(j, k),
+k = 0..D-1, join the blocks.
 
 Networks never move data: every comparator emits local stable ranks and the
 engine adds them into a global accumulator.
@@ -28,9 +31,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import numbers
 import operator
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
@@ -92,36 +96,22 @@ class Comparator:
         return len(self.indices)
 
 
-class _Comparators(Sequence):
-    """A level's rows as Comparator objects, made only when accessed."""
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows: np.ndarray):
-        self._rows = rows
-
-    def __len__(self) -> int:
-        return self._rows.shape[0]
-
-    def __getitem__(self, i) -> Comparator:
-        return Comparator(tuple(self._rows[operator.index(i)].tolist()))
-
-    def __iter__(self):
-        return (Comparator(tuple(row)) for row in self._rows.tolist())
-
-
 def _index_array(rows) -> np.ndarray:
-    """An integer array, or nested lists of integers, as a read-only (m, k)
-    int64 array with m >= 1.
+    """A level as a read-only (m, k) int64 array with m >= 1: a Level, an
+    integer array, Comparator objects, or rows of integers.
 
     An array is viewed, not copied, so the caller's array stays writable.
     """
+    if isinstance(rows, Level):
+        return rows.indices
     if isinstance(rows, np.ndarray):
         a = rows.view()
     else:
         try:
+            if rows and isinstance(rows[0], Comparator):
+                rows = [c.indices for c in rows]
             types = set(map(type, itertools.chain.from_iterable(rows)))
-        except TypeError as exc:
+        except (TypeError, AttributeError) as exc:
             raise ValidationError(f"a comparator is not a list of indices: {exc}") from None
         if not all(issubclass(t, numbers.Integral) and t is not bool for t in types):
             names = sorted(t.__name__ for t in types)
@@ -152,18 +142,15 @@ class Level:
     indices: np.ndarray
 
     def __post_init__(self):
-        rows = self.indices
-        if isinstance(rows, (list, tuple)) and rows and isinstance(rows[0], Comparator):
-            rows = [c.indices for c in rows]
-        object.__setattr__(self, "indices", _index_array(rows))
+        object.__setattr__(self, "indices", _index_array(self.indices))
 
     @property
     def arity(self) -> int:
         return self.indices.shape[1]
 
     @property
-    def comparators(self) -> Sequence[Comparator]:
-        return _Comparators(self.indices)
+    def comparators(self) -> tuple[Comparator, ...]:
+        return tuple(Comparator(tuple(row)) for row in self.indices.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +184,7 @@ class Network:
         shapes = []
         for li, level in enumerate(self.levels):
             try:
-                idx = (level if isinstance(level, Level) else Level(level)).indices
+                idx = _index_array(level)
             except ValidationError as exc:
                 raise ValidationError(f"level {li}: {exc}") from None
             parts.setdefault(idx.shape[1], []).append(idx)
@@ -236,10 +223,25 @@ class Network:
 # number theory helpers
 
 
+def _integer(x) -> int:
+    """An integer (numpy's included) as an int, or DimensionError."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise DimensionError(f"need an integer, got {x!r}") from None
+
+
+def _size(n, least: int = 2) -> int:
+    """N as an int: an integer of at least ``least``."""
+    n = _integer(n)
+    if n < least:
+        raise DimensionError(f"need N >= {least}, got {n}")
+    return n
+
+
 def smallest_prime_factor(n: int) -> int:
     """Least prime dividing n (n itself when n is prime)."""
-    if n < 2:
-        raise DimensionError(f"need N >= 2, got {n}")
+    n = _size(n)
     if n % 2 == 0:
         return 2
     if n % 3 == 0:
@@ -255,13 +257,13 @@ def smallest_prime_factor(n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
+    n = _integer(n)
     return n >= 2 and smallest_prime_factor(n) == n
 
 
 def ascending_factorization(n: int) -> list[int]:
     """Prime factors of n in nondecreasing order, with multiplicity."""
-    if n < 2:
-        raise DimensionError(f"need N >= 2, got {n}")
+    n = _size(n)
     out = []
     while n > 1:
         p = smallest_prime_factor(n)
@@ -312,17 +314,6 @@ def _cross_indices(d: int, D: int) -> np.ndarray:
 # builders
 
 
-def _size(n) -> int:
-    """A builder's N as an int: an integer (numpy's included) of at least 2."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise DimensionError(f"N must be an integer, got {n!r}") from None
-    if n < 2:
-        raise DimensionError(f"need N >= 2, got {n}")
-    return n
-
-
 def binary_network(n: int) -> Network:
     """All N(N-1)/2 binary comparators, one per unordered pair.
 
@@ -346,44 +337,35 @@ def binary_network(n: int) -> Network:
 
 
 def divisor_network(n: int) -> Network:
-    """One level of d D-ary block comparators, then D levels of d-ary ones.
+    """The factor sequence (d, N/d), d the smallest prime factor of N.
 
-    d is the smallest prime factor of N and D = N/d; the cross-block levels
-    are indexed by k = 0..D-1. Every unordered pair is covered exactly once:
-    same-block pairs by the D-ary level, cross-block pairs by a unique (j, k)
-    since differences below d are invertible mod D. Prime N degenerates to a
-    single N-ary comparator.
+    Every unordered pair is covered exactly once: same-block pairs by the
+    block level, cross-block pairs by a unique (j, k), since differences
+    below d are invertible mod N/d.
     """
-    n = _size(n)
     d = smallest_prime_factor(n)
-    if d == n:
-        return Network(n, [np.arange(n)[None, :]], Builder.DIVISOR)
-    D = n // d
-    blocks = np.arange(n).reshape(d, D)  # row j is w(j)
-    return Network(n, [blocks, *_cross_indices(d, D)], Builder.DIVISOR)
-
-
-def _prime_levels(blocks: np.ndarray) -> list[np.ndarray]:
-    """Levels of the prime network on every row of a (B, m) array of positions.
-
-    All rows share one decomposition, so the B sibling sub-networks come out
-    merged: each level holds row 0's comparators, then row 1's, and so on.
-    """
-    B, m = blocks.shape
-    d = smallest_prime_factor(m)
-    if d == m:
-        return [blocks]
-    D = m // d
-    levels = _prime_levels(blocks.reshape(B * d, D))
-    cross = blocks[:, _cross_indices(d, D)]  # [b, k, j] is v(j, k) within block b
-    levels.extend(cross.transpose(1, 0, 2, 3).reshape(D, B * D, d))
-    return levels
+    return Network(n, _levels([d, n // d] if d < n else [d]), Builder.DIVISOR)
 
 
 def prime_network(n: int) -> Network:
     """Recursive divisor decomposition down to prime-arity comparators."""
-    n = _size(n)
-    return Network(n, _prime_levels(np.arange(n)[None, :]), Builder.PRIME)
+    return Network(n, _levels(ascending_factorization(n)), Builder.PRIME)
+
+
+def _levels(factors: list[int], blocks: int = 1) -> list[np.ndarray]:
+    """Levels of the factor sequence ``factors`` on ``blocks`` consecutive blocks
+    of its product's size; a level holds block 0's comparators, then block 1's, ..."""
+    d, *rest = factors
+    if not rest:
+        return [np.arange(blocks * d).reshape(blocks, d)]
+    D = math.prod(rest)
+    # recurse first, so this step's cross array is not held while deeper steps make theirs
+    levels = _levels(rest, blocks * d)
+    cross = _cross_indices(d, D)[:, None]  # [k, b, j] is v(j, k) in block b
+    if blocks > 1:  # one block needs no shift, so no copy; C order keeps the reshape a view
+        cross = np.add(cross, d * D * np.arange(blocks)[:, None, None], order="C")
+    levels.extend(cross.reshape(D, blocks * D, d))
+    return levels
 
 
 _BUILDERS = {

@@ -1,14 +1,17 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from ranknet import (
     DimensionError,
     DomainError,
     addition_complexity,
+    ascending_factorization,
     binary_equivalent,
     comparator_coefficients,
     complexity_profile,
+    is_prime,
     level_coefficients,
     maundy_a,
     partial_rank_count,
@@ -151,3 +154,36 @@ class TestProfile:
         assert lines[0].startswith("N,levels_total,comps_total,addition_complexity")
         assert lines[1] == "2,1,1,0,1,0,0,0"
         assert lines[5] == "6,4,11,3,3,1,0,0"
+
+
+def _leaves(x):
+    if isinstance(x, dict):
+        return [*x, *x.values()]
+    return list(x) if isinstance(x, list) else [x]
+
+
+INTEGER_FUNCTIONS = {
+    "partial_rank_count": (partial_rank_count, 10),
+    "total_comparators": (total_comparators, 58),
+    "level_coefficients": (level_coefficients, {2: 9, 3: 1}),
+    "comparator_coefficients": (comparator_coefficients, {2: 54, 3: 4}),
+    "maundy_a": (maundy_a, 10),
+    "binary_equivalent": (binary_equivalent, 66),
+    "is_prime": (is_prime, False),
+    "smallest_prime_factor": (smallest_prime_factor, 2),
+    "ascending_factorization": (ascending_factorization, [2, 2, 3]),
+    "prime_power_levels": (lambda k: prime_power_levels(2, k), 4095),
+    "two_prime_levels": (lambda k: two_prime_levels(2, k, 3, k), {2: 3**12 * 4095, 3: 265720}),
+}
+
+
+@pytest.mark.parametrize("fn, at_12", INTEGER_FUNCTIONS.values(), ids=list(INTEGER_FUNCTIONS))
+def test_takes_n_as_integer(fn, at_12):
+    for n in (12.5, "12", 12.0):
+        with pytest.raises(DimensionError):
+            fn(n)
+    # numpy integers give Python ints, also after the calls above: a float N
+    # that reached maundy_a's cache would come back as a float result here
+    result = fn(np.int64(12))
+    assert result == at_12
+    assert [type(v) for v in _leaves(result)] == [type(v) for v in _leaves(at_12)]

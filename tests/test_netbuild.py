@@ -17,6 +17,7 @@ from ranknet import (
     Level,
     Network,
     ValidationError,
+    ValidationReport,
     ascending_factorization,
     binary_network,
     build_network,
@@ -188,6 +189,23 @@ class TestValidation:
                 assert validate_network(build_network(n, builder)).ok
         # N = 1 has no pairs, so a network with no levels is complete
         assert validate_network(Network(1, [], Builder.BINARY)).ok
+
+    @pytest.mark.parametrize(
+        "n, levels, builder, violations, valid_as",
+        [
+            (3, [[(0, 1), (0, 2)], [(1, 2)]], "binary",
+             ["level 0: comparators overlap at [0]"], None),
+            (4, [[(0, 1)], [(2, 3)], [(0, 2), (1, 3)], [(0, 3), (1, 2)]], "divisor",
+             [f"level {li}: does not cover all 4 positions" for li in (0, 1)], "binary"),
+            (4, [[(0, 1, 2, 3)]], "prime", ["level 0: non-prime arity 4"], "divisor"),
+        ],
+        ids=["overlap", "coverage", "arity"],
+    )
+    def test_level_violations(self, n, levels, builder, violations, valid_as):
+        report = validate_network(Network(n, levels, builder))
+        assert report == ValidationReport(False, violations)
+        if valid_as:
+            assert validate_network(Network(n, levels, valid_as)).ok
 
     def test_binary_n5_pair_count(self):
         net = binary_network(5)
