@@ -60,6 +60,23 @@ class TestExecute:
         with pytest.raises(DimensionError):
             execute(divisor_network(8), [1, 2, 3])
 
+    @pytest.mark.parametrize("k", range(2, 10))  # both sides of the pair-win cutoff
+    def test_single_comparator_keys(self, k):
+        net = Network(k, [[tuple(range(k))]], Builder.DIVISOR)
+        rng = np.random.default_rng(k)
+        offsets = rng.integers(0, 3, (20, k))
+        keys = [
+            *offsets,  # heavy ties
+            *np.where(offsets > 0, 0.0, -0.0),  # signed zeros compare equal
+            *np.where(offsets == 2, -1.5, np.where(offsets > 0, 0.0, -0.0)),
+            *(np.int64(2**62) + offsets),  # float64 would merge neighbours
+            [2**62 + 1 - i % 2 for i in range(k)],
+            *(np.uint64(2**63) + offsets.astype(np.uint64)),  # beyond int64
+            np.array([2**64 - 1 - i % 2 for i in range(k)], dtype=np.uint64),
+        ]
+        for x in keys:
+            assert np.array_equal(execute(net, x), stable_rank(x)), x
+
     def test_exhaustive_small(self):
         for n in range(2, 6):
             nets = [build_network(n, b) for b in Builder]
@@ -122,6 +139,14 @@ class TestPartialRankTable:
         table = partial_rank_table(net, x)
         assert table.total.tolist() == execute(net, x).tolist() == [2, 1, 0]
 
+    def test_overlapping_ternary_level_total_matches_execute(self):
+        # level 0's two 3-ary comparators share position 0; every pair is
+        # still covered once, so the total is the stable rank
+        net = Network(5, [[(0, 1, 2), (0, 3, 4)], [(1, 3), (2, 4)], [(1, 4), (2, 3)]], "prime")
+        for x in ([4, 2, 2, 9, 0], [1, 1, 1, 1, 1], [3, 0, 7, 7, -2]):
+            table = partial_rank_table(net, x)
+            assert table.total.tolist() == execute(net, x).tolist() == stable_rank(x).tolist()
+
     def test_csv_layout(self):
         table = partial_rank_table(divisor_network(8), TABLE1_X)
         lines = table_to_csv(table, TABLE1_X).strip().splitlines()
@@ -129,6 +154,13 @@ class TestPartialRankTable:
         assert lines[0].split(",")[-1] == "pi"
         assert lines[1] == "0,5,2,0,0,0,0,2"
         assert len(lines) == 9
+
+    @pytest.mark.parametrize("x", [[1, 2], [1, 2, 3, 4, 5]])
+    def test_csv_rejects_x_of_other_length(self, x):
+        # a shorter x raised a raw IndexError, a longer one was cut silently
+        table = partial_rank_table(divisor_network(4), [4, 3, 2, 1])
+        with pytest.raises(DimensionError):
+            table_to_csv(table, x)
 
 
 class TestTileProperty:
@@ -161,6 +193,13 @@ class TestApplyPermutation:
     def test_rejects_non_permutation(self):
         with pytest.raises(PermutationError):
             apply_permutation(np.array([1.0, 2.0]), [0, 0])
+
+    @pytest.mark.parametrize("pi", [[1.5, 0.2], [True, False], ["1", "0"], [2**64, 0]])
+    def test_rejects_non_integer_pi(self, pi):
+        # each was once cast to int64: the first three gave [20, 10], the
+        # last a raw OverflowError
+        with pytest.raises(PermutationError):
+            apply_permutation([10, 20], pi)
 
     def test_sorted_and_stable(self):
         rng = np.random.default_rng(4)
