@@ -10,6 +10,11 @@ wider one ranks each row with a stable argsort and scatters the integer
 ranks with ``np.add.at``. Nothing on the rank path is a float. Integer
 addition is associative and commutative, so the result does not depend on
 the order in which comparators are evaluated.
+
+The sum is the stable rank only when every pair of positions lies in exactly
+one comparator. Builder output does by construction; any other network is
+checked once, before its first use, and raises ValidationError if it does
+not (DimensionError if the check's pair bitmap would exceed its budget).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionError, PermutationError
-from .netbuild import Network
+from .netbuild import Network, _require_exact_pairs
 from .rankcore import as_keys
 
 __all__ = [
@@ -59,16 +64,23 @@ def _accumulate(acc: np.ndarray, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _keys(net: Network, x) -> np.ndarray:
+    """The keys of x for net: the one entry of execute and partial_rank_table."""
     a = as_keys(x)
     if a.size != net.n:
         raise DimensionError(f"input length {a.size} != network size {net.n}")
+    # summed local ranks are the stable rank only when every pair of positions
+    # lies in exactly one comparator; builder output and networks that passed
+    # once are marked, so for them this costs one attribute read
+    if not net._pairs_exact:
+        _require_exact_pairs(net)
     return a
 
 
 def execute(net: Network, x, workers: int | None = None) -> np.ndarray:
     """Run the network on x and return the permutation vector.
 
-    Equals the stable rank of x for any valid network. Execution is serial:
+    Equals the stable rank of x; a network whose pairs are not each covered
+    exactly once raises ValidationError. Execution is serial:
     ``workers`` is accepted for compatibility and has no effect.
     """
     # Serial on purpose: on a 2-core host a thread pool was slower than this

@@ -164,18 +164,22 @@ class Network:
     2**32, the builder a Builder or its name, and each comparator must have
     arity at least 2 and strictly increasing indices in [0, N); anything
     else raises ValidationError. validate_network checks the rest of the
-    topology.
+    topology; execute and partial_rank_table check pair coverage before a
+    network's first use.
     """
 
     n: int
     levels: tuple[Level, ...]
     builder: Builder
     _groups: Mapping[int, np.ndarray] = field(init=False, repr=False)
+    # set once every pair of positions is known to lie in exactly one
+    # comparator: by the builders, whose output is exact by construction,
+    # and by the first pair check that passes (see _pair_violations)
+    _pairs_exact: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         n = self.n
-        # beyond 2**32 positions no network fits in memory, and validation's
-        # level-tagged int64 positions could overflow
+        # beyond 2**32 positions no network fits in memory
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 1 <= n <= 2**32:
             raise ValidationError(f"n must be an integer from 1 to 2**32, got {n!r}")
         object.__setattr__(self, "n", int(n))
@@ -333,7 +337,7 @@ def binary_network(n: int) -> Network:
     rounds[:, 0, 1] = m - 1
     np.minimum(up, down, out=rounds[:, 1:, 0])
     np.maximum(up, down, out=rounds[:, 1:, 1])
-    return Network(n, list(rounds if m == n else rounds[:, 1:]), Builder.BINARY)
+    return _exact(Network(n, list(rounds if m == n else rounds[:, 1:]), Builder.BINARY))
 
 
 def divisor_network(n: int) -> Network:
@@ -344,12 +348,19 @@ def divisor_network(n: int) -> Network:
     below d are invertible mod N/d.
     """
     d = smallest_prime_factor(n)
-    return Network(n, _levels([d, n // d] if d < n else [d]), Builder.DIVISOR)
+    return _exact(Network(n, _levels([d, n // d] if d < n else [d]), Builder.DIVISOR))
 
 
 def prime_network(n: int) -> Network:
     """Recursive divisor decomposition down to prime-arity comparators."""
-    return Network(n, _levels(ascending_factorization(n)), Builder.PRIME)
+    return _exact(Network(n, _levels(ascending_factorization(n)), Builder.PRIME))
+
+
+def _exact(net: Network) -> Network:
+    """net, marked as covering every pair exactly once, so that execution
+    checks nothing: builder output is exact by construction."""
+    object.__setattr__(net, "_pairs_exact", True)
+    return net
 
 
 def _levels(factors: list[int], blocks: int = 1) -> list[np.ndarray]:
@@ -395,47 +406,119 @@ def validate_network(net: Network) -> ValidationReport:
     Level coverage of all N positions is required for divisor and prime
     builders; the binary builder idles one position per round when N is odd,
     so only within-level disjointness is enforced there. Arity, index range
-    and index order are checked when the network is made.
+    and index order are checked when the network is made. Every check runs
+    on every call, builder output included; a network whose pairs pass is
+    not checked again by execute. Raises DimensionError when a check would
+    allocate more than a fixed budget: one int64 slot per position up to the
+    largest the network names, or, for a network with the right pair total,
+    an N*N boolean pair bitmap.
     """
     v: list[str] = []
     n = net.n
-    m, k = np.array([level.indices.shape for level in net.levels], dtype=np.int64).reshape(-1, 2).T
     if net.builder == Builder.PRIME:
-        for li, arity in enumerate(k.tolist()):
-            if not is_prime(arity):
-                v.append(f"level {li}: non-prime arity {arity}")
+        for li, level in enumerate(net.levels):
+            if not is_prime(level.arity):
+                v.append(f"level {li}: non-prime arity {level.arity}")
 
-    # per-level overlap and coverage: how often each level touches each
-    # position, from one count of level-tagged positions
-    tags = [np.empty(0, dtype=np.int64)]  # a network may have no levels
-    tags += [li * n + level.indices.ravel() for li, level in enumerate(net.levels)]
-    tagged, times = np.unique(np.concatenate(tags), return_counts=True)
-    level_of, pos = np.divmod(tagged, n)
-    over = times > 1
-    lis, starts = np.unique(level_of[over], return_index=True)
-    for li, p in zip(lis.tolist(), np.split(pos[over], starts[1:])):
-        v.append(f"level {li}: comparators overlap at {p.tolist()}")
-    if net.builder in (Builder.DIVISOR, Builder.PRIME):
-        for li in np.flatnonzero(np.bincount(level_of, minlength=k.size) < n):
-            v.append(f"level {li}: does not cover all {n} positions")
+    # per-level overlap and coverage, in time linear in the level: each
+    # position keeps the last entry written to it, so the entries that did
+    # not stick repeat a position; only the failure path sorts them
+    full = net.builder in (Builder.DIVISOR, Builder.PRIME)
+    # slots up to the largest position named, not N of them, so that a small
+    # document with a huge n still gets its report; rows increase, so each
+    # group's largest position is in its last column
+    span = 1 + max((int(idx[:, -1].max()) for idx in net.arity_groups().values()), default=-1)
+    _within_budget(8 * span, n)
+    last = np.empty(span, dtype=np.int64)
+    gaps = []
+    for li, level in enumerate(net.levels):
+        pos = level.indices.ravel()
+        entry = np.arange(pos.size)
+        last[pos] = entry
+        repeated = pos[last[pos] != entry]
+        if repeated.size:
+            v.append(f"level {li}: comparators overlap at {np.unique(repeated).tolist()}")
+        if full and pos.size - repeated.size < n:
+            gaps.append(f"level {li}: does not cover all {n} positions")
+    v += gaps
 
-    # pair coverage: the pair total first, so that the (N, N) count below is
-    # made only for a network that holds all N(N-1)/2 pairs
-    total, expected = int((m * k * (k - 1) // 2).sum()), n * (n - 1) // 2
-    if total != expected:
-        v.append(f"comparators cover {total} pairs, not the {expected} of {n} positions")
-        return ValidationReport(False, v)
-    counts = np.zeros(n * n, dtype=np.int64)
-    for arity, idx in net.arity_groups().items():
-        a, b = np.triu_indices(arity, 1)
-        counts += np.bincount((idx[:, a] * n + idx[:, b]).ravel(), minlength=n * n)
-    covered = counts.reshape(n, n)
-    bad = np.argwhere(np.triu(covered != 1, 1))
-    for i, j in bad[:10].tolist():
-        v.append(f"pair ({i},{j}) covered {covered[i, j]} times")
-    if len(bad) > 10:
-        v.append(f"... and {len(bad) - 10} more pair-coverage violations")
+    v += _pair_violations(net)
     return ValidationReport(not v, v)
+
+
+# Most bytes one validation array may take: the N*N pair bitmap, or the
+# int64 position slots. 2**31 admits a bitmap for N up to 46340, and slots
+# for every position below 2**28.
+_CHECK_BYTES = 2**31
+
+
+def _within_budget(nbytes: int, n: int) -> None:
+    if nbytes > _CHECK_BYTES:
+        raise DimensionError(
+            f"checking a network of N = {n} needs {nbytes} bytes, more than {_CHECK_BYTES}"
+        )
+
+
+def _pair_codes(net: Network):
+    """Every comparator's pairs (i, j) as codes i*N + j, one index column at a
+    time: each batch holds at most as many codes as the network holds indices."""
+    n = net.n
+    for k, idx in net.arity_groups().items():
+        for a in range(k - 1):
+            yield (idx[:, a, None] * n + idx[:, a + 1 :]).ravel()
+
+
+def _pair_violations(net: Network) -> list[str]:
+    """Lines for pairs of positions not covered exactly once; none marks the network.
+
+    The pair total first: only a network that holds N(N-1)/2 pairs gets a
+    bitmap. Its rows are strictly increasing, so every code is a pair with
+    i < j, and N(N-1)/2 distinct codes then mean that each pair is covered
+    exactly once. Only on failure are the pairs counted.
+    """
+    n = net.n
+    total = sum(len(idx) * k * (k - 1) // 2 for k, idx in net.arity_groups().items())
+    expected = n * (n - 1) // 2
+    if total != expected:
+        return [f"comparators cover {total} pairs, not the {expected} of {n} positions"]
+    _within_budget(n * n, n)
+    seen = np.zeros(n * n, dtype=bool)
+    for codes in _pair_codes(net):
+        seen[codes] = True
+    if np.count_nonzero(seen) == expected:
+        _exact(net)
+        return []
+
+    # failure path: mark the pairs seen twice, then count the first ten bad ones
+    seen[:] = False
+    twice = np.zeros_like(seen)
+    for codes in _pair_codes(net):
+        once, times = np.unique(codes, return_counts=True)
+        twice[once[seen[once] | (times > 1)]] = True
+        seen[once] = True
+    bad = []
+    for i in range(n - 1):
+        row = slice(i * n + i + 1, (i + 1) * n)
+        hits = np.flatnonzero(~seen[row] | twice[row])[: 10 - len(bad)]
+        bad += (hits + row.start).tolist()
+        if len(bad) == 10:
+            break
+    bad = np.array(bad, dtype=np.int64)
+    covered = sum((codes[:, None] == bad).sum(axis=0) for codes in _pair_codes(net))
+    v = [f"pair ({c // n},{c % n}) covered {t} times" for c, t in zip(bad.tolist(), covered)]
+    more = expected - np.count_nonzero(seen) + np.count_nonzero(twice) - len(bad)
+    if more > 0:
+        v.append(f"... and {more} more pair-coverage violations")
+    return v
+
+
+def _require_exact_pairs(net: Network) -> None:
+    """Raise ValidationError unless every pair of positions lies in exactly one
+    comparator, the condition under which summed partial ranks are the stable
+    rank. execute and partial_rank_table call it once per unchecked network."""
+    v = _pair_violations(net)
+    if v:
+        raise ValidationError(f"invalid {net.builder.value} network: {v[0]}")
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +548,10 @@ def network_from_json(doc) -> Network:
 
     Raises ValidationError for a malformed document, for indices that are
     not integers (booleans included), for a level whose comparators differ
-    in arity, and for any network that validate_network rejects.
+    in arity, and for any network that validate_network rejects; and, as
+    validate_network does, DimensionError when checking the network would
+    exceed the check's memory budget (a position of 2**28 or more, or a
+    right pair total with N above 46340).
     """
     try:
         if isinstance(doc, (str, bytes)):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ranknet import netbuild
 from ranknet import (
     Builder,
     Comparator,
@@ -12,6 +13,7 @@ from ranknet import (
     Level,
     Network,
     PermutationError,
+    ValidationError,
     apply_permutation,
     build_network,
     comparison_matrix,
@@ -101,6 +103,73 @@ class TestExecute:
             results = [execute(net, x, workers=w) for w in (1, 2, 8)]
             assert np.array_equal(results[0], results[1])
             assert np.array_equal(results[0], results[2])
+
+
+@st.composite
+def pair_networks(draw):
+    """A hand-built binary network on N <= 8 positions, one level per pair, from
+    a shuffled list holding each pair 0, 1 or 2 times, and keys with ties."""
+    n = draw(st.integers(2, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # mostly once, so that networks covering every pair once are drawn too
+    times = draw(st.lists(st.sampled_from([1, 1, 1, 1, 1, 0, 2]),
+                          min_size=len(pairs), max_size=len(pairs)))
+    listed = draw(st.permutations([p for p, t in zip(pairs, times) for _ in range(t)]))
+    x = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return n, listed, x, sorted(listed) == pairs
+
+
+class TestPairGate:
+    # Network(4, [[(0, 1), (2, 3)]]) executed [3, 1, 4, 2] to [1, 0, 1, 0]; the
+    # second network has the right pair total but covers (0, 1) and (2, 3) twice
+    # and (0, 3) and (1, 2) never, and executed [0, 1, 2, 3] to [0, 2, 1, 3]
+    @pytest.mark.parametrize(
+        "levels, x",
+        [
+            ([[(0, 1), (2, 3)]], [3, 1, 4, 2]),
+            ([[(0, 1), (2, 3)], [(0, 2), (1, 3)], [(0, 1), (2, 3)]], [0, 1, 2, 3]),
+        ],
+        ids=["pair-total", "pair-twice"],
+    )
+    def test_bad_pair_coverage_raises(self, levels, x):
+        for run in (execute, partial_rank_table):
+            with pytest.raises(ValidationError, match="invalid binary network: "):
+                run(Network(4, levels, Builder.BINARY), x)
+
+    @given(pair_networks())
+    @settings(max_examples=200, deadline=None)
+    def test_hand_built_pairs_rank_exactly_or_raise(self, case):
+        n, listed, x, exact = case
+        net = Network(n, [[p] for p in listed], Builder.BINARY)
+        try:
+            pi = execute(net, x)
+        except ValidationError:
+            assert not exact
+        else:
+            assert exact and np.array_equal(pi, stable_rank(x))
+
+    def test_each_network_is_checked_once(self, monkeypatch):
+        checks = []
+
+        def counted(net):
+            checks.append(net.n)
+            return pair_violations(net)
+
+        pair_violations = netbuild._pair_violations
+        monkeypatch.setattr(netbuild, "_pair_violations", counted)
+        x = [2, 0, 1, 1, 3]
+        for builder in Builder:  # exact by construction
+            execute(build_network(5, builder), x)
+        assert checks == []
+        hand_built = Network(5, [level.indices for level in prime_network(5).levels], "prime")
+        for _ in range(2):
+            assert execute(hand_built, x).tolist() == stable_rank(x).tolist()
+            partial_rank_table(hand_built, x)
+        assert checks == [5]
+        validated = Network(5, hand_built.levels, "prime")
+        assert netbuild.validate_network(validated).ok  # validate_network always checks
+        execute(validated, x)
+        assert checks == [5, 5]
 
 
 class TestPartialRankTable:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ranknet import netbuild
 from ranknet import (
     Builder,
     Comparator,
@@ -22,6 +23,7 @@ from ranknet import (
     binary_network,
     build_network,
     divisor_network,
+    execute,
     index_vector_v,
     index_vector_w,
     network_from_json,
@@ -29,6 +31,7 @@ from ranknet import (
     network_to_json,
     prime_network,
     smallest_prime_factor,
+    stable_rank,
     validate_network,
 )
 
@@ -198,8 +201,29 @@ class TestValidation:
             (4, [[(0, 1)], [(2, 3)], [(0, 2), (1, 3)], [(0, 3), (1, 2)]], "divisor",
              [f"level {li}: does not cover all 4 positions" for li in (0, 1)], "binary"),
             (4, [[(0, 1, 2, 3)]], "prime", ["level 0: non-prime arity 4"], "divisor"),
+            (4, [[(0, 1), (2, 3)]], "binary",
+             ["comparators cover 2 pairs, not the 6 of 4 positions"], None),
+            # the right pair total, but (0, 1) and (2, 3) twice and (0, 3) and
+            # (1, 2) never: executed [0, 1, 2, 3] to the permutation [0, 2, 1, 3]
+            (4, [[(0, 1), (2, 3)], [(0, 2), (1, 3)], [(0, 1), (2, 3)]], "binary",
+             ["pair (0,1) covered 2 times", "pair (0,3) covered 0 times",
+              "pair (1,2) covered 0 times", "pair (2,3) covered 2 times"], None),
+            # slots reach the largest position named, so a huge N allocates nothing
+            (300_000_000, [], "binary",
+             ["comparators cover 0 pairs, not the 44999999850000000 of 300000000 positions"],
+             None),
+            (2**32, [[(0, 1)]], "binary",
+             ["comparators cover 1 pairs, not the 9223372034707292160 of 4294967296 positions"],
+             None),
+            (6, [[(0, 1), (2, 3), (4, 5)]] * 5, "binary",
+             ["pair (0,1) covered 5 times"]
+             + [f"pair ({i},{j}) covered 0 times" for i, j in
+                [(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5)]]
+             + ["pair (2,3) covered 5 times", "... and 5 more pair-coverage violations"],
+             None),
         ],
-        ids=["overlap", "coverage", "arity"],
+        ids=["overlap", "coverage", "arity", "pair-total", "pair-twice", "huge-n-no-pairs",
+         "huge-n-one-pair", "pairs-over-10"],
     )
     def test_level_violations(self, n, levels, builder, violations, valid_as):
         report = validate_network(Network(n, levels, builder))
@@ -218,6 +242,27 @@ class TestValidation:
         report = validate_network(Network(6, levels, Builder.DIVISOR))
         assert not report.ok
         assert any("pair" in v or "covered" in v for v in report.violations)
+
+    def test_check_budget(self, monkeypatch):
+        # a budget below 16 * 16 bytes stands in for an N whose N * N pair
+        # bitmap would not fit, such as one 50000-ary comparator read from JSON
+        n, x = 16, [3, 1, 2, 0, 5, 5, 1, 9, 0, 4, 4, 7, 2, 8, 6, 1]
+        hand_built = Network(n, [level.indices for level in binary_network(n).levels], "binary")
+        monkeypatch.setattr(netbuild, "_CHECK_BYTES", n * n - 1)
+        for check in (validate_network, lambda net: execute(net, x)):
+            with pytest.raises(DimensionError, match=f"needs {n * n} bytes"):
+                check(hand_built)
+        # builder output runs unchecked, and a wrong pair total needs no bitmap
+        assert execute(binary_network(n), x).tolist() == stable_rank(x).tolist()
+        short = Network(n, [[(0, 1)]], "binary")
+        assert validate_network(short).violations == [
+            "comparators cover 1 pairs, not the 120 of 16 positions"
+        ]
+        # the position slots reach the largest position named, not N
+        monkeypatch.setattr(netbuild, "_CHECK_BYTES", 8 * n - 1)
+        assert not validate_network(short).ok
+        with pytest.raises(DimensionError, match=f"needs {8 * n} bytes"):
+            validate_network(Network(n, [[(0, n - 1)]], "binary"))
 
     def test_built_network_is_read_only(self):
         for builder in Builder:
@@ -329,6 +374,8 @@ class TestSerialization:
             doc(2, "binary", [[1, 0]]),
             # a few bytes that must not make validation allocate N * N counts
             doc(100000, "binary", [[0, 1]]),
+            # nor N position slots: raised DimensionError, not the pair total
+            doc(300_000_000, "binary"),
             # raised OverflowError while validation tagged positions by level
             doc(10**30, "binary", [[0, 1]]),
             doc(2.0, "binary", [[0, 1]]),

@@ -1,0 +1,180 @@
+"""Run the benchmark in alternating parent/change pairs and write BENCH_<number>.json.
+
+    python3 tools/bench_pairs.py --number 9 --title "what the change does" \
+        --run audit=5 --run sort_cold=3 --run execute_warm=3
+
+The change is the commit HEAD, the parent its first parent HEAD^. Both are
+exported with ``git archive`` into a temporary directory, and every run
+reads its own export only. Each pair runs ``python3 perfbench/run.py
+--workload W --seed S --seconds T --trace 0`` once in each export, the
+parent first in the 1st, 3rd, ... pair and the change first in the others;
+T and the metrics summarised are those of the parent export's
+BENCHMARK.json, so that every pair, and every BENCH file, runs the
+benchmark as the parent defines it. The i-th ``--run`` workload takes seeds
+FIRST + 1000 i, FIRST + 1000 i + 1, ... (``--first-seed``, default 1001).
+
+Of the working tree, only the git repository is read. Written into it are
+the summary, BENCH_<number>.json at the root, and every run's last output
+line, appended to the ignored ``perfbench/out/bench-pairs-<number>.jsonl``.
+Uses the standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import math
+import os
+import platform
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+METHOD = (
+    "alternating pairs, parent first in the 1st, 3rd, ... pair and the change first in"
+    " the others; both sides run from a git archive export of their commit; q1/median/q3"
+    " are numpy's linear percentiles over the runs; change_wins counts pairs in which the"
+    " change read better; median_change is (change - parent) / parent of the medians"
+)
+
+
+def parse_args(argv):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--number", type=int, required=True, help="writes BENCH_<number>.json")
+    p.add_argument("--title", required=True, help="what the change does, one line")
+    p.add_argument("--run", action="append", required=True, metavar="WORKLOAD=PAIRS")
+    p.add_argument("--first-seed", type=int, default=1001)
+    p.add_argument("--claim", default=None, metavar="WORKLOAD:METRIC",
+                   help="the metric the change claims a gain on, if any")
+    args = p.parse_args(argv)
+    args.runs = []
+    for item in args.run:
+        workload, _, pairs = item.partition("=")
+        if not workload or not pairs.isdigit() or int(pairs) < 1:
+            p.error(f"--run wants WORKLOAD=PAIRS, got {item!r}")
+        args.runs.append((workload, int(pairs)))
+    return args
+
+
+def git(*args) -> bytes:
+    return subprocess.run(["git", "-C", ROOT, *args], check=True, capture_output=True).stdout
+
+
+def export(rev: str, into: str) -> str:
+    """Extract the tree of commit rev into a new directory under into."""
+    sha = git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+    path = os.path.join(into, sha[:12])
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", sha))) as tar:
+        tar.extractall(path, filter="data")
+    return path
+
+
+def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def percentile(values, q: float) -> float:
+    """numpy's default (linear) percentile, q in [0, 1]."""
+    s = sorted(values)
+    pos = (len(s) - 1) * q
+    lo = math.floor(pos)
+    return s[lo] + (s[min(lo + 1, len(s) - 1)] - s[lo]) * (pos - lo)
+
+
+def sig(x: float) -> float:
+    return float(f"{x:.5g}")
+
+
+def summarize(metric: dict, parent: list, change: list) -> dict:
+    quart = {side: {name: sig(percentile(runs, q))
+                    for name, q in (("q1", 0.25), ("median", 0.5), ("q3", 0.75))}
+             for side, runs in (("parent", parent), ("change", change))}
+    sign = 1 if metric["better"] == "higher" else -1
+    return {
+        "unit": metric["unit"],
+        "better": metric["better"],
+        **quart,
+        "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+        "median_change": round(
+            (percentile(change, 0.5) - percentile(parent, 0.5)) / percentile(parent, 0.5), 4),
+        "parent_iqr": sig(percentile(parent, 0.75) - percentile(parent, 0.25)),
+        "parent_runs": [sig(v) for v in parent],
+        "change_runs": [sig(v) for v in change],
+    }
+
+
+def host() -> dict:
+    numpy = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
+                           capture_output=True, text=True).stdout.strip()
+    memory_gb = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30
+    return {"cores": os.cpu_count(), "memory_gb": round(memory_gb),
+            "python": platform.python_version(), "numpy": numpy or None}
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    log_dir = os.path.join(ROOT, "perfbench", "out")
+    os.makedirs(log_dir, exist_ok=True)
+    workloads = {}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {"parent": export("HEAD^", tmp), "change": export("HEAD", tmp)}
+        with open(os.path.join(trees["parent"], "BENCHMARK.json")) as fh:
+            bench = json.load(fh)
+        metrics = {m["name"]: m for m in bench["end_to_end"]}
+        seconds = bench["run_seconds"]
+        for i, (workload, pairs) in enumerate(args.runs):
+            seeds = [args.first_seed + 1000 * i + j for j in range(pairs)]
+            results = {"parent": [], "change": []}
+            for j, seed in enumerate(seeds):
+                order = ("parent", "change") if j % 2 == 0 else ("change", "parent")
+                for side in order:
+                    result = run_once(trees[side], workload, seed, seconds)
+                    results[side].append(result)
+                    print(f"{workload} seed {seed} {side}: {json.dumps(result)}", flush=True)
+                    with open(os.path.join(log_dir, f"bench-pairs-{args.number}.jsonl"), "a") as fh:
+                        fh.write(json.dumps(dict(result, workload=workload, seed=seed,
+                                                 side=side)) + "\n")
+            workloads[workload] = {
+                "seeds": seeds,
+                "pairs": pairs,
+                "attempted": {s: [r["attempted"] for r in results[s]] for s in results},
+                "failed": {s: [r["failed"] for r in results[s]] for s in results},
+                "correct": all(r["correct"] for s in results for r in results[s]),
+                "metrics": {
+                    name: summarize(metric, *([r["metrics"][name]["value"] for r in results[s]]
+                                              for s in ("parent", "change")))
+                    for name, metric in metrics.items()
+                },
+            }
+    claim = None
+    if args.claim:
+        workload, _, metric = args.claim.partition(":")
+        claim = {"workload": workload, "metric": metric}
+    summary = {
+        "change": args.title,
+        "parent": git("rev-parse", "--short", "HEAD^").decode().strip(),
+        "host": host(),
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g}"
+                   " --trace 0",
+        "method": METHOD,
+        "claim": claim,
+        "workloads": workloads,
+    }
+    out = os.path.join(ROOT, f"BENCH_{args.number}.json")
+    with open(out, "w") as fh:
+        json.dump(summary, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
