@@ -3,11 +3,13 @@
 Each comparator computes the stable ranks of its slice of the input and the
 engine adds them into a global integer accumulator, one arity at a time,
 reading the per-arity index arrays that every network lays out when it is
-made. A comparator of arity k <= 5 adds, for each of its k(k-1)/2 column
-pairs, one to the position that wins the pair (the larger key, or the later
-position on a tie), so an input's rank is the number of pairs it wins; a
-wider one ranks each row with a stable argsort and scatters the integer
-ranks with ``np.add.at``. Nothing on the rank path is a float. Integer
+made. These are column-major, so each index column is one contiguous array.
+A comparator of arity k <= 5 adds, for each of its k(k-1)/2 column pairs,
+one to the position that wins the pair (the larger key, or the later
+position on a tie), so an input's rank is the number of pairs it wins; it
+takes a group's rows in batches, small enough for its temporaries to stay
+in cache. A wider one ranks each row with a stable argsort and scatters the
+integer ranks with ``np.add.at``. Nothing on the rank path is a float. Integer
 addition is associative and commutative, so the result does not depend on
 the order in which comparators are evaluated.
 
@@ -44,15 +46,25 @@ __all__ = [
 # gained nothing over 5 on a grid of networks of N = 8 to 724.
 _PAIR_WIN_MAX_ARITY = 5
 
+# Rows the pair-win kernel takes at a time. Each of its temporaries is then
+# at most 64 KiB, under glibc's initial 128 KiB mmap threshold, so it comes
+# from the heap and stays in cache. Whole-column temporaries were mapped and
+# faulted in afresh on every call unless an earlier large free had raised
+# the threshold: in a process that had only built a binary N = 365 network,
+# execute took 2-2.5x as long as with the threshold raised.
+_PAIR_WIN_ROWS = 8192
+
 
 def _accumulate(acc: np.ndarray, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Add the stable local ranks of the comparators idx (m, k) into acc."""
     k = idx.shape[1]
     if k <= _PAIR_WIN_MAX_ARITY:
-        # lo wins only when strictly greater: a tie goes to hi, the later position
-        for i, j in combinations(range(k), 2):
-            lo, hi = idx[:, i], idx[:, j]
-            acc += np.bincount(hi - (x[lo] > x[hi]) * (hi - lo), minlength=acc.size)
+        for start in range(0, len(idx), _PAIR_WIN_ROWS):
+            rows = idx[start : start + _PAIR_WIN_ROWS]
+            # lo wins only when strictly greater: a tie goes to hi, the later position
+            for i, j in combinations(range(k), 2):
+                lo, hi = rows[:, i], rows[:, j]
+                acc += np.bincount(hi - (x[lo] > x[hi]) * (hi - lo), minlength=acc.size)
     else:
         order = np.argsort(x[idx], axis=1, kind="stable")
         ranks = np.empty(idx.shape, dtype=np.int64)

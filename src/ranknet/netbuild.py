@@ -1,15 +1,17 @@
 """Comparator network construction, validation, and serialization.
 
-A network is a sequence of levels. A level is one read-only (m, k) int64
+A network is a sequence of levels. A level is a read-only (m, k) int64
 array: m comparators of arity k, one strictly increasing row of global
-indices each. The builders generate these arrays in closed form from the
-two index vectors
+indices each. A network holds one read-only column-major (M, k) array per
+arity k, the layout the engine executes, and its levels are consecutive row
+ranges of these arrays. The builders size every such array from the factor
+sequence, then write it once, one contiguous column at a time, in closed
+form from the two index vectors
 
     w(j)      = [jD, jD+1, ..., jD+D-1]
     v(j, k)_i = (j + k*i) mod D + D*i,    i = 0..d-1
 
-and every network lays its levels out once, when it is made, as one array
-per arity for the engine. Three builders are provided:
+Three builders are provided:
 
 * binary_network  -- one binary comparator per unordered pair, scheduled
   into rounds by the circle method so each round's comparators are disjoint.
@@ -21,7 +23,9 @@ Both are one recursion over a factor sequence whose product is N. Its first
 factor d splits the positions into d blocks of D = N/d; the rest of the
 sequence builds every block, the blocks sharing levels so each level spans
 all N positions; then D levels of d-ary cross-block comparators v(j, k),
-k = 0..D-1, join the blocks.
+k = 0..D-1, join the blocks. A network one of whose arrays would exceed
+2**31 bytes, such as binary for N > 16384, raises DimensionError before it
+is allocated.
 
 Networks never move data: every comparator emits local stable ranks and the
 engine adds them into a global accumulator.
@@ -153,19 +157,53 @@ class Level:
         return tuple(Comparator(tuple(row)) for row in self.indices.tolist())
 
 
+def _level_view(rows: np.ndarray) -> Level:
+    """A Level of rows, an already checked read-only int64 view, as is."""
+    level = object.__new__(Level)
+    object.__setattr__(level, "indices", rows)
+    return level
+
+
+def _empty_groups(n: int, shapes) -> dict[int, np.ndarray]:
+    """One writable (M, k) int64 array per arity k of the level shapes (m, k),
+    k ascending, M the rows of all levels of arity k. Each is column-major,
+    the transpose of a (k, M) array, so each of its k columns is contiguous.
+
+    Raises DimensionError, before allocating, when one array would take
+    more than _CHECK_BYTES.
+    """
+    rows: dict[int, int] = {}
+    for m, k in shapes:
+        rows[k] = rows.get(k, 0) + m
+    for k, m in rows.items():
+        _within_budget(8 * m * k, n)
+    return {k: np.empty((k, rows[k]), dtype=np.int64).T for k in sorted(rows)}
+
+
+def _row_ranges(groups: dict[int, np.ndarray], shapes):
+    """Each level's rows, in the order of shapes: each arity's levels are
+    consecutive row ranges of its group."""
+    start = dict.fromkeys(groups, 0)
+    for m, k in shapes:
+        yield groups[k][start[k] : start[k] + m]
+        start[k] += m
+
+
 @dataclass(frozen=True, eq=False)
 class Network:
     """An immutable comparator network on N positions.
 
     ``levels`` may be given as Level objects or as anything Level accepts.
     The network copies all comparator indices once, into one read-only
-    (M, k) array per arity k (the layout the engine executes), and its
-    levels become views of those arrays. N must be an integer from 1 to
-    2**32, the builder a Builder or its name, and each comparator must have
-    arity at least 2 and strictly increasing indices in [0, N); anything
-    else raises ValidationError. validate_network checks the rest of the
-    topology; execute and partial_rank_table check pair coverage before a
-    network's first use.
+    column-major (M, k) array per arity k (the layout the engine executes),
+    and its levels become views of row ranges of those arrays. N must be an
+    integer from 1 to 2**32, the builder a Builder or its name, and each
+    comparator must have arity at least 2 and strictly increasing indices in
+    [0, N); anything else raises ValidationError. DimensionError is raised
+    when one arity's array would exceed the memory budget that bounds the
+    checks (2**31 bytes). validate_network checks the rest of the topology;
+    execute and partial_rank_table check pair coverage before a network's
+    first use.
     """
 
     n: int
@@ -184,33 +222,43 @@ class Network:
             raise ValidationError(f"n must be an integer from 1 to 2**32, got {n!r}")
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "builder", _builder(self.builder))
-        parts: dict[int, list[np.ndarray]] = {}
-        shapes = []
+        arrays = []
         for li, level in enumerate(self.levels):
             try:
-                idx = _index_array(level)
+                arrays.append(_index_array(level))
             except ValidationError as exc:
                 raise ValidationError(f"level {li}: {exc}") from None
-            parts.setdefault(idx.shape[1], []).append(idx)
-            shapes.append(idx.shape)
-        groups = {}
-        for k, arrays in sorted(parts.items()):
+        shapes = [a.shape for a in arrays]
+        groups = _empty_groups(self.n, shapes)
+        for rows, a in zip(_row_ranges(groups, shapes), arrays):
+            rows[...] = a
+        self._lay_out(groups, shapes)
+
+    @classmethod
+    def _from_groups(cls, n: int, builder: Builder, groups, shapes) -> Network:
+        """The network whose arity groups, from _empty_groups and filled in, hold
+        its levels of the given shapes in order, each a row range of its group."""
+        net = object.__new__(cls)
+        object.__setattr__(net, "n", n)
+        object.__setattr__(net, "builder", builder)
+        net._lay_out(groups, shapes)
+        return net
+
+    def _lay_out(self, groups: dict[int, np.ndarray], shapes) -> None:
+        """Check each group, make it and its base read-only, and make the levels
+        views of their row ranges."""
+        for k, g in groups.items():
             if k < 2:
                 raise ValidationError(f"comparator arity {k} < 2")
-            g = np.concatenate(arrays)
             if g.min(initial=0) < 0 or g.max(initial=-1) >= self.n:
                 raise ValidationError(f"comparator index out of range [0, {self.n})")
             if not (g[:, 1:] > g[:, :-1]).all():
                 raise ValidationError("comparator indices must be strictly increasing")
+            # a read-only view of a writable base could be made writable again
+            g.base.flags.writeable = False
             g.flags.writeable = False
-            groups[k] = g
-        # each arity's levels are consecutive row ranges of its array
-        start = dict.fromkeys(groups, 0)
-        levels = []
-        for m, k in shapes:
-            levels.append(Level(groups[k][start[k] : start[k] + m]))
-            start[k] += m
-        object.__setattr__(self, "levels", tuple(levels))
+        levels = tuple(map(_level_view, _row_ranges(groups, shapes)))
+        object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "_groups", MappingProxyType(groups))
 
     def comparators(self):
@@ -285,7 +333,7 @@ def index_vector_v(j: int, k: int, d: int, D: int) -> list[int]:
 
     Picks one position from each of the d contiguous blocks of size D;
     strictly increasing since consecutive elements differ by at least 1.
-    The scalar form of _cross_indices.
+    The scalar form of the cross comparators that _levels writes.
     """
     if not (0 <= j < D and 0 <= k < D):
         raise DomainError(f"j and k must lie in [0, {D}), got j={j}, k={k}")
@@ -303,17 +351,6 @@ def index_vector_w(j: int, D: int, d: int | None = None) -> list[int]:
     return list(range(j * D, (j + 1) * D))
 
 
-def _cross_indices(d: int, D: int) -> np.ndarray:
-    """All cross-block index vectors: a (D, D, d) array whose [k, j] row is v(j, k)."""
-    # Over j, (j + k*i) mod D is 0..D-1 rotated by k*i mod D: a row of the
-    # (D, D) window view of one period, gathered instead of computed
-    rotations = sliding_window_view(np.arange(2 * D - 1) % D, D)
-    i = np.arange(d)
-    v = rotations[np.arange(D)[:, None] * i % D]  # [k, i, j]
-    v += D * i[:, None]
-    return v.transpose(0, 2, 1)
-
-
 # ---------------------------------------------------------------------------
 # builders
 
@@ -327,17 +364,22 @@ def binary_network(n: int) -> Network:
     n = _size(n)
     m = n + n % 2  # an odd N gets an idle slot, position m-1
     c, p = m - 1, m // 2 - 1
-    # Round r pairs the hub m-1 with r, and (r+i) mod c with (r-i) mod c for
+    hub = int(m == n)  # the pair of the hub m-1 and r in round r, dropped for odd N
+    shapes = [(hub + p, 2)] * c
+    groups = _empty_groups(n, shapes)
+    # each round's lo and hi columns, as (c, hub + p) views of the group's columns
+    lo, hi = (groups[2][:, i].reshape(c, hub + p) for i in (0, 1))
+    if hub:
+        lo[:, 0] = np.arange(c)
+        hi[:, 0] = m - 1
+    # Round r pairs the hub with r, and (r+i) mod c with (r-i) mod c for
     # i = 1..p. Both sequences rotate by one per round, so their (c, p)
     # grids are windows over one period, taken without copying.
     up = sliding_window_view(np.arange(1, c + p) % c, p)
     down = sliding_window_view(np.arange(-p, c) % c, p)[:c, ::-1]
-    rounds = np.empty((c, p + 1, 2), dtype=np.int64)
-    rounds[:, 0, 0] = np.arange(c)
-    rounds[:, 0, 1] = m - 1
-    np.minimum(up, down, out=rounds[:, 1:, 0])
-    np.maximum(up, down, out=rounds[:, 1:, 1])
-    return _exact(Network(n, list(rounds if m == n else rounds[:, 1:]), Builder.BINARY))
+    np.minimum(up, down, out=lo[:, hub:])
+    np.maximum(up, down, out=hi[:, hub:])
+    return _exact(Network._from_groups(n, Builder.BINARY, groups, shapes))
 
 
 def divisor_network(n: int) -> Network:
@@ -347,13 +389,17 @@ def divisor_network(n: int) -> Network:
     block level, cross-block pairs by a unique (j, k), since differences
     below d are invertible mod N/d.
     """
+    n = _size(n)
     d = smallest_prime_factor(n)
-    return _exact(Network(n, _levels([d, n // d] if d < n else [d]), Builder.DIVISOR))
+    groups, shapes = _levels([d, n // d] if d < n else [d])
+    return _exact(Network._from_groups(n, Builder.DIVISOR, groups, shapes))
 
 
 def prime_network(n: int) -> Network:
     """Recursive divisor decomposition down to prime-arity comparators."""
-    return _exact(Network(n, _levels(ascending_factorization(n)), Builder.PRIME))
+    n = _size(n)
+    groups, shapes = _levels(ascending_factorization(n))
+    return _exact(Network._from_groups(n, Builder.PRIME, groups, shapes))
 
 
 def _exact(net: Network) -> Network:
@@ -363,20 +409,44 @@ def _exact(net: Network) -> Network:
     return net
 
 
-def _levels(factors: list[int], blocks: int = 1) -> list[np.ndarray]:
-    """Levels of the factor sequence ``factors`` on ``blocks`` consecutive blocks
-    of its product's size; a level holds block 0's comparators, then block 1's, ..."""
-    d, *rest = factors
-    if not rest:
-        return [np.arange(blocks * d).reshape(blocks, d)]
-    D = math.prod(rest)
-    # recurse first, so this step's cross array is not held while deeper steps make theirs
-    levels = _levels(rest, blocks * d)
-    cross = _cross_indices(d, D)[:, None]  # [k, b, j] is v(j, k) in block b
-    if blocks > 1:  # one block needs no shift, so no copy; C order keeps the reshape a view
-        cross = np.add(cross, d * D * np.arange(blocks)[:, None, None], order="C")
-    levels.extend(cross.reshape(D, blocks * D, d))
-    return levels
+def _levels(factors: list[int]) -> tuple[dict[int, np.ndarray], list[tuple[int, int]]]:
+    """The arity groups (as _empty_groups makes them, filled in) and the level
+    shapes of the factor sequence ``factors``, whose product is N.
+
+    The recursion runs from the last factor f up: its block level, N/f
+    comparators w(j) of arity f, comes first. Then each earlier factor d,
+    with D the product of the factors after it, joins the d blocks of D
+    positions in each of the N/(dD) blocks of dD with D levels of N/d
+    cross comparators v(j, k), k = 0..D-1; a level holds block 0's
+    comparators, then block 1's, ... Every step writes its rows straight
+    into its row range of its group, one contiguous column at a time.
+    """
+    n = math.prod(factors)
+    *steps, f = factors
+    shapes = [(n // f, f)]
+    D = f
+    for d in reversed(steps):
+        shapes += [(n // d, d)] * D
+        D *= d
+    groups = _empty_groups(n, shapes)
+    groups[f][: n // f] = np.arange(n).reshape(n // f, f)
+    start = dict.fromkeys(groups, 0)
+    start[f] = n // f
+    D = f
+    for d in reversed(steps):
+        blocks = n // (d * D)
+        rows = groups[d][start[d] : start[d] + D * blocks * D]
+        start[d] += len(rows)
+        # Row (k, b, j) is v(j, k) in block b. Over j, (j + k*i) mod D is
+        # 0..D-1 rotated by k*i mod D: a row of the window view of one
+        # period, gathered instead of computed
+        rotations = sliding_window_view(np.arange(2 * D - 1) % D, D)
+        shift = d * D * np.arange(blocks)[:, None]
+        for i in range(d):
+            column = rows[:, i].reshape(D, blocks, D)  # contiguous, so a view
+            np.add(rotations[np.arange(D) * i % D, None], shift + D * i, out=column)
+        D *= d
+    return groups, shapes
 
 
 _BUILDERS = {
@@ -432,7 +502,9 @@ def validate_network(net: Network) -> ValidationReport:
     last = np.empty(span, dtype=np.int64)
     gaps = []
     for li, level in enumerate(net.levels):
-        pos = level.indices.ravel()
+        # a row range of a column-major group: copied column by column, in
+        # memory order, which is faster than indexing with the 2-D range
+        pos = level.indices.ravel(order="K")
         entry = np.arange(pos.size)
         last[pos] = entry
         repeated = pos[last[pos] != entry]
@@ -446,8 +518,9 @@ def validate_network(net: Network) -> ValidationReport:
     return ValidationReport(not v, v)
 
 
-# Most bytes one validation array may take: the N*N pair bitmap, or the
-# int64 position slots. 2**31 admits a bitmap for N up to 46340, and slots
+# Most bytes one array of a network or of its checks may take: an arity
+# group, the N*N pair bitmap, or the int64 position slots. 2**31 admits a
+# binary network for N up to 16384, a bitmap for N up to 46340, and slots
 # for every position below 2**28.
 _CHECK_BYTES = 2**31
 
@@ -455,7 +528,7 @@ _CHECK_BYTES = 2**31
 def _within_budget(nbytes: int, n: int) -> None:
     if nbytes > _CHECK_BYTES:
         raise DimensionError(
-            f"checking a network of N = {n} needs {nbytes} bytes, more than {_CHECK_BYTES}"
+            f"a network of N = {n} needs {nbytes} bytes in one array, more than {_CHECK_BYTES}"
         )
 
 
@@ -465,7 +538,8 @@ def _pair_codes(net: Network):
     n = net.n
     for k, idx in net.arity_groups().items():
         for a in range(k - 1):
-            yield (idx[:, a, None] * n + idx[:, a + 1 :]).ravel()
+            # in memory order, a view of the column-major batch
+            yield (idx[:, a, None] * n + idx[:, a + 1 :]).ravel(order="K")
 
 
 def _pair_violations(net: Network) -> list[str]:

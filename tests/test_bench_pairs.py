@@ -1,4 +1,4 @@
-"""The pair runner's statistics: numpy's linear percentiles and win counts."""
+"""The pair runner: numpy's linear percentiles, win counts and the claim's checks."""
 
 import importlib.util
 from pathlib import Path
@@ -28,3 +28,47 @@ def test_summarize_counts_wins_by_direction():
     assert s["parent_iqr"] == 1.0
     higher = dict(lower, better="higher")
     assert bench_pairs.summarize(higher, [10.0, 12.0, 11.0], [9.0, 13.0, 10.0])["change_wins"] == 1
+
+
+METRICS = ["keys_per_s", "latency_p90_ms"]
+
+
+@pytest.mark.parametrize(
+    "claim",
+    ["sort_cold", "sort_cold:", "audit:keys_per_s", "sort_cold:keys_per_sec", ":keys_per_s"],
+)
+def test_claim_is_checked_at_parse_time(claim):
+    with pytest.raises(SystemExit):
+        bench_pairs.parse_args(
+            ["--number", "1", "--title", "t", "--run", "sort_cold=2", "--claim", claim], METRICS
+        )
+
+
+def test_claim_names_a_run_workload_and_metric():
+    argv = ["--number", "1", "--title", "t", "--run", "sort_cold=2", "--run", "audit=1"]
+    assert bench_pairs.parse_args(argv, METRICS).claim is None
+    args = bench_pairs.parse_args(argv + ["--claim", "audit:latency_p90_ms"], METRICS)
+    assert args.claim == ("audit", "latency_p90_ms")
+
+
+PARENT = [8.0, 9.0, 9.0, 10.0, 10.0, 10.0, 10.0, 11.0, 11.0, 12.0]  # median 10, IQR 1.5
+
+
+@pytest.mark.parametrize(
+    "change, wins, holds",
+    [
+        ([13.0] * 9 + [7.0], 9, True),  # 9 of 10, and a median gain of 3
+        ([13.0] * 8 + [7.0] * 2, 8, False),  # 8 of 10
+        ([v + 1 for v in PARENT], 10, False),  # every pair, but a gain of 1
+        (PARENT, 0, False),  # ties win for neither side
+    ],
+)
+def test_judge_applies_the_gain_rule(change, wins, holds):
+    higher = {"unit": "1/s", "better": "higher"}
+    s = bench_pairs.summarize(higher, PARENT, change)
+    assert bench_pairs.judge("w", "m", s) == {
+        "workload": "w", "metric": "m", "pairs": 10, "change_wins": wins, "holds": holds
+    }
+    lower = dict(higher, better="lower")
+    flipped = bench_pairs.summarize(lower, [-v for v in PARENT], [-v for v in change])
+    assert bench_pairs.judge("w", "m", flipped)["holds"] is holds

@@ -247,13 +247,14 @@ class TestValidation:
         # a budget below 16 * 16 bytes stands in for an N whose N * N pair
         # bitmap would not fit, such as one 50000-ary comparator read from JSON
         n, x = 16, [3, 1, 2, 0, 5, 5, 1, 9, 0, 4, 4, 7, 2, 8, 6, 1]
-        hand_built = Network(n, [level.indices for level in binary_network(n).levels], "binary")
+        built = binary_network(n)  # before the budget: its 1920-byte group would not fit
+        hand_built = Network(n, [level.indices for level in built.levels], "binary")
         monkeypatch.setattr(netbuild, "_CHECK_BYTES", n * n - 1)
         for check in (validate_network, lambda net: execute(net, x)):
             with pytest.raises(DimensionError, match=f"needs {n * n} bytes"):
                 check(hand_built)
         # builder output runs unchecked, and a wrong pair total needs no bitmap
-        assert execute(binary_network(n), x).tolist() == stable_rank(x).tolist()
+        assert execute(built, x).tolist() == stable_rank(x).tolist()
         short = Network(n, [[(0, 1)]], "binary")
         assert validate_network(short).violations == [
             "comparators cover 1 pairs, not the 120 of 16 positions"
@@ -263,6 +264,24 @@ class TestValidation:
         assert not validate_network(short).ok
         with pytest.raises(DimensionError, match=f"needs {8 * n} bytes"):
             validate_network(Network(n, [[(0, n - 1)]], "binary"))
+
+    @pytest.mark.parametrize(
+        "n, builder", [(16, "binary"), (15, "binary"), (12, "divisor"), (30, "prime"), (7, "prime")]
+    )
+    def test_build_budget(self, monkeypatch, n, builder):
+        # a budget one byte below the largest arity group stands in for a
+        # network too large to hold, such as binary N > 16384 under 2**31
+        net = build_network(n, builder)
+        levels = [level.indices for level in net.levels]
+        largest = max(g.nbytes for g in net.arity_groups().values())
+        monkeypatch.setattr(netbuild, "_CHECK_BYTES", largest - 1)
+        for build in (lambda: build_network(n, builder), lambda: Network(n, levels, builder)):
+            with pytest.raises(DimensionError, match=f"needs {largest} bytes"):
+                build()
+        monkeypatch.setattr(netbuild, "_CHECK_BYTES", largest)
+        assert [lv.indices.tolist() for lv in build_network(n, builder).levels] == [
+            idx.tolist() for idx in levels
+        ]
 
     def test_built_network_is_read_only(self):
         for builder in Builder:
@@ -327,6 +346,37 @@ class TestValidation:
         ):
             with pytest.raises(ValidationError):
                 Network(n, [[(0, 1)]], builder)
+
+
+def assert_read_only_columns(net):
+    """Each arity group column-major and read-only, with a read-only base, so
+    that neither it nor a level can be made writable again. (numpy lets the
+    array that owns the memory, the base, be made writable at any time.)"""
+    for g in net.arity_groups().values():
+        assert g.dtype == np.int64 and g.flags.f_contiguous
+        assert not g.base.flags.writeable
+        with pytest.raises(ValueError):
+            g.flags.writeable = True
+    for level in net.levels:
+        with pytest.raises(ValueError):
+            level.indices.flags.writeable = True
+
+
+class TestLayout:
+    @pytest.mark.parametrize("builder", list(Builder))
+    def test_every_route_lays_out_read_only_columns(self, builder):
+        for n in [*range(2, 201), 625, 729, 972, 1001, 1024]:
+            net = build_network(n, builder)
+            groups = net.arity_groups()
+            assert_read_only_columns(net)
+            others = [Network(n, [level.indices for level in net.levels], builder)]
+            if n <= 200:  # the JSON route adds only parsing, about 1 s a network at N = 1000
+                others.append(network_from_json(network_to_json(net)))
+            for other in others:
+                assert_read_only_columns(other)
+                assert list(other.arity_groups()) == list(groups), n
+                for k, g in other.arity_groups().items():
+                    assert np.array_equal(g, groups[k]), (n, k)
 
 
 class TestSerialization:

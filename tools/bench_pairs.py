@@ -1,17 +1,23 @@
 """Run the benchmark in alternating parent/change pairs and write BENCH_<number>.json.
 
-    python3 tools/bench_pairs.py --number 9 --title "what the change does" \
-        --run audit=5 --run sort_cold=3 --run execute_warm=3
+    python3 tools/bench_pairs.py --number 10 --title "what the change does" \
+        --claim sort_cold:keys_per_s --run sort_cold=10 --run audit=5
 
 The change is the commit HEAD, the parent its first parent HEAD^. Both are
 exported with ``git archive`` into a temporary directory, and every run
 reads its own export only. Each pair runs ``python3 perfbench/run.py
 --workload W --seed S --seconds T --trace 0`` once in each export, the
 parent first in the 1st, 3rd, ... pair and the change first in the others;
-T and the metrics summarised are those of the parent export's
-BENCHMARK.json, so that every pair, and every BENCH file, runs the
-benchmark as the parent defines it. The i-th ``--run`` workload takes seeds
-FIRST + 1000 i, FIRST + 1000 i + 1, ... (``--first-seed``, default 1001).
+T and the metrics summarised are those of the parent's BENCHMARK.json, so
+that every pair, and every BENCH file, runs the benchmark as the parent
+defines it. The i-th ``--run`` workload takes seeds FIRST + 1000 i,
+FIRST + 1000 i + 1, ... (``--first-seed``, default 1001).
+
+``--claim WORKLOAD:METRIC`` names the gain the change claims, checked before
+anything runs: a ``--run`` workload and one of the end-to-end metrics. The
+summary records its pairs won and whether the gain rule holds: at least 9
+in 10 pairs won, and a median gain larger than the parent's interquartile
+range.
 
 Of the working tree, only the git repository is read. Written into it are
 the summary, BENCH_<number>.json at the root, and every run's last output
@@ -41,7 +47,9 @@ METHOD = (
 )
 
 
-def parse_args(argv):
+def parse_args(argv, metrics):
+    """The options; a --claim must name a --run workload and one of metrics,
+    the benchmark's end-to-end metric names."""
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--number", type=int, required=True, help="writes BENCH_<number>.json")
     p.add_argument("--title", required=True, help="what the change does, one line")
@@ -56,6 +64,14 @@ def parse_args(argv):
         if not workload or not pairs.isdigit() or int(pairs) < 1:
             p.error(f"--run wants WORKLOAD=PAIRS, got {item!r}")
         args.runs.append((workload, int(pairs)))
+    if args.claim is not None:
+        workload, _, metric = args.claim.partition(":")
+        if workload not in dict(args.runs):
+            p.error(f"--claim {args.claim!r}: the workload must be one of the --run"
+                    f" workloads {[w for w, _ in args.runs]}")
+        if metric not in metrics:
+            p.error(f"--claim {args.claim!r}: the metric must be one of {list(metrics)}")
+        args.claim = (workload, metric)
     return args
 
 
@@ -111,6 +127,19 @@ def summarize(metric: dict, parent: list, change: list) -> dict:
     }
 
 
+def judge(workload: str, metric: str, s: dict) -> dict:
+    """The claim on s, a summarize result: the pairs it won, and whether the
+    gain rule holds, which asks the change to win at least 9 in 10 pairs (a
+    tie wins for neither) and its median to beat the parent's by more than
+    the parent's interquartile range."""
+    pairs = len(s["parent_runs"])
+    sign = 1 if s["better"] == "higher" else -1
+    gain = sign * (s["change"]["median"] - s["parent"]["median"])
+    return {"workload": workload, "metric": metric, "pairs": pairs,
+            "change_wins": s["change_wins"],
+            "holds": 10 * s["change_wins"] >= 9 * pairs and gain > s["parent_iqr"]}
+
+
 def host() -> dict:
     numpy = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
                            capture_output=True, text=True).stdout.strip()
@@ -120,16 +149,15 @@ def host() -> dict:
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
+    bench = json.loads(git("show", "HEAD^:BENCHMARK.json"))
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
+    args = parse_args(argv, metrics)
     log_dir = os.path.join(ROOT, "perfbench", "out")
     os.makedirs(log_dir, exist_ok=True)
     workloads = {}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"parent": export("HEAD^", tmp), "change": export("HEAD", tmp)}
-        with open(os.path.join(trees["parent"], "BENCHMARK.json")) as fh:
-            bench = json.load(fh)
-        metrics = {m["name"]: m for m in bench["end_to_end"]}
-        seconds = bench["run_seconds"]
         for i, (workload, pairs) in enumerate(args.runs):
             seeds = [args.first_seed + 1000 * i + j for j in range(pairs)]
             results = {"parent": [], "change": []}
@@ -156,8 +184,8 @@ def main(argv=None) -> int:
             }
     claim = None
     if args.claim:
-        workload, _, metric = args.claim.partition(":")
-        claim = {"workload": workload, "metric": metric}
+        workload, metric = args.claim
+        claim = judge(workload, metric, workloads[workload]["metrics"][metric])
     summary = {
         "change": args.title,
         "parent": git("rev-parse", "--short", "HEAD^").decode().strip(),
