@@ -38,6 +38,7 @@ import json
 import math
 import numbers
 import operator
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
@@ -46,7 +47,7 @@ from types import MappingProxyType
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimensionError, DomainError, ValidationError
+from .errors import DimensionError, DomainError, RankNetError, ValidationError
 
 __all__ = [
     "Builder",
@@ -83,6 +84,15 @@ def _builder(name) -> Builder:
         raise ValidationError(
             f"unknown builder {name!r}, expected one of {[b.value for b in Builder]}"
         ) from None
+
+
+def _gate(n, builder) -> tuple[int, Builder]:
+    """N as an int and the Builder, or ValidationError: the checks every
+    Network passes."""
+    # beyond 2**32 positions no network fits in memory
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 1 <= n <= 2**32:
+        raise ValidationError(f"n must be an integer from 1 to 2**32, got {n!r}")
+    return int(n), _builder(builder)
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,12 +226,7 @@ class Network:
     _pairs_exact: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
-        n = self.n
-        # beyond 2**32 positions no network fits in memory
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 1 <= n <= 2**32:
-            raise ValidationError(f"n must be an integer from 1 to 2**32, got {n!r}")
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "builder", _builder(self.builder))
+        n, builder = _gate(self.n, self.builder)
         arrays = []
         for li, level in enumerate(self.levels):
             try:
@@ -229,29 +234,30 @@ class Network:
             except ValidationError as exc:
                 raise ValidationError(f"level {li}: {exc}") from None
         shapes = [a.shape for a in arrays]
-        groups = _empty_groups(self.n, shapes)
+        groups = _empty_groups(n, shapes)
         for rows, a in zip(_row_ranges(groups, shapes), arrays):
             rows[...] = a
-        self._lay_out(groups, shapes)
+        self._lay_out(n, builder, groups, shapes)
 
     @classmethod
-    def _from_groups(cls, n: int, builder: Builder, groups, shapes) -> Network:
+    def _from_groups(cls, n, builder, groups, shapes) -> Network:
         """The network whose arity groups, from _empty_groups and filled in, hold
-        its levels of the given shapes in order, each a row range of its group."""
+        its levels of the given shapes in order, each a row range of its group.
+        n and builder pass the checks that Network applies."""
         net = object.__new__(cls)
-        object.__setattr__(net, "n", n)
-        object.__setattr__(net, "builder", builder)
-        net._lay_out(groups, shapes)
+        net._lay_out(*_gate(n, builder), groups, shapes)
         return net
 
-    def _lay_out(self, groups: dict[int, np.ndarray], shapes) -> None:
+    def _lay_out(self, n: int, builder: Builder, groups: dict[int, np.ndarray], shapes) -> None:
         """Check each group, make it and its base read-only, and make the levels
         views of their row ranges."""
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "builder", builder)
         for k, g in groups.items():
             if k < 2:
                 raise ValidationError(f"comparator arity {k} < 2")
-            if g.min(initial=0) < 0 or g.max(initial=-1) >= self.n:
-                raise ValidationError(f"comparator index out of range [0, {self.n})")
+            if g.min(initial=0) < 0 or g.max(initial=-1) >= n:
+                raise ValidationError(f"comparator index out of range [0, {n})")
             if not (g[:, 1:] > g[:, :-1]).all():
                 raise ValidationError("comparator indices must be strictly increasing")
             # a read-only view of a writable base could be made writable again
@@ -485,43 +491,81 @@ def validate_network(net: Network) -> ValidationReport:
     """
     v: list[str] = []
     n = net.n
+    groups = net.arity_groups()
+    shapes = [level.indices.shape for level in net.levels]
     if net.builder == Builder.PRIME:
-        for li, level in enumerate(net.levels):
-            if not is_prime(level.arity):
-                v.append(f"level {li}: non-prime arity {level.arity}")
+        composite = {k for k in groups if not is_prime(k)}
+        v += [f"level {li}: non-prime arity {k}" for li, (_, k) in enumerate(shapes) if k in composite]
 
-    # per-level overlap and coverage, in time linear in the level: each
-    # position keeps the last entry written to it, so the entries that did
-    # not stick repeat a position; only the failure path sorts them
-    full = net.builder in (Builder.DIVISOR, Builder.PRIME)
     # slots up to the largest position named, not N of them, so that a small
     # document with a huge n still gets its report; rows increase, so each
     # group's largest position is in its last column
-    span = 1 + max((int(idx[:, -1].max()) for idx in net.arity_groups().values()), default=-1)
+    span = 1 + max((int(idx[:, -1].max()) for idx in groups.values()), default=-1)
     _within_budget(8 * span, n)
-    last = np.empty(span, dtype=np.int64)
-    gaps = []
-    for li, level in enumerate(net.levels):
-        # a row range of a column-major group: copied column by column, in
-        # memory order, which is faster than indexing with the 2-D range
-        pos = level.indices.ravel(order="K")
-        entry = np.arange(pos.size)
-        last[pos] = entry
-        repeated = pos[last[pos] != entry]
-        if repeated.size:
-            v.append(f"level {li}: comparators overlap at {np.unique(repeated).tolist()}")
-        if full and pos.size - repeated.size < n:
-            gaps.append(f"level {li}: does not cover all {n} positions")
-    v += gaps
-
+    v += _level_violations(net, shapes, span)
     v += _pair_violations(net)
     return ValidationReport(not v, v)
 
 
+# Most slots, levels times span, one batch of _level_violations takes
+_LEVEL_SLOTS = 2**16
+
+
+def _level_violations(net: Network, shapes, span: int) -> list[str]:
+    """Overlap lines, then coverage lines for divisor and prime, for every level.
+
+    A batch of levels of one arity group at a time, at most _LEVEL_SLOTS
+    slots or one level, as codes level * span + position. When the batch
+    fits, a bitmap passes it if its codes set as many bits as there are
+    codes. Otherwise each code keeps the last entry written to it, so the
+    entries that did not stick repeat a position of their level, in time
+    linear in the batch's rows, not in its span; only levels with a repeat
+    are gone through one by one. Without repeats, m rows of k distinct
+    positions in [0, N) cover all N exactly when m * k = N.
+    """
+    n = net.n
+    per = max(1, _LEVEL_SLOTS // max(span, 1))
+    slots = np.empty(per * span, dtype=np.int64)
+    level_ids: dict[int, list[int]] = {k: [] for k in net.arity_groups()}
+    for li, (_, k) in enumerate(shapes):
+        level_ids[k].append(li)
+    distinct = [m * k for m, k in shapes]
+    overlaps = {}
+    for k, g in net.arity_groups().items():
+        m = np.array([shapes[li][0] for li in level_ids[k]])
+        ends = np.cumsum(m)
+        for first in range(0, len(m), per):
+            stop = min(first + per, len(m))
+            level = np.repeat(np.arange(stop - first) * span, m[first:stop])
+            codes = (g[ends[first] - m[first] : ends[stop - 1]] + level[:, None]).ravel(order="K")
+            if span <= _LEVEL_SLOTS:
+                # two to three times faster than the last entries, for a batch that passes
+                seen = np.zeros((stop - first) * span, dtype=bool)
+                seen[codes] = True
+                if np.count_nonzero(seen) == codes.size:
+                    continue
+            entry = np.arange(codes.size)
+            slots[codes] = entry
+            repeated = codes[slots[codes] != entry]
+            if repeated.size:
+                lost = np.bincount(repeated // span)
+                # the distinct repeated codes, split into their levels
+                codes = np.unique(repeated)
+                for part in np.split(codes, np.flatnonzero(np.diff(codes // span)) + 1):
+                    at = int(part[0]) // span
+                    li = level_ids[k][first + at]
+                    distinct[li] -= int(lost[at])
+                    overlaps[li] = f"level {li}: comparators overlap at {(part - at * span).tolist()}"
+    v = [overlaps[li] for li in sorted(overlaps)]
+    if net.builder in (Builder.DIVISOR, Builder.PRIME):
+        v += [f"level {li}: does not cover all {n} positions" for li, c in enumerate(distinct) if c < n]
+    return v
+
+
 # Most bytes one array of a network or of its checks may take: an arity
-# group, the N*N pair bitmap, or the int64 position slots. 2**31 admits a
-# binary network for N up to 16384, a bitmap for N up to 46340, and slots
-# for every position below 2**28.
+# group, the N*N pair bitmap, or the int64 position slots; and the bytes of
+# a network's JSON text. 2**31 admits a binary network for N up to 16384, a
+# bitmap for N up to 46340, and slots for every position below 2**28.
 _CHECK_BYTES = 2**31
 
 
@@ -533,13 +577,19 @@ def _within_budget(nbytes: int, n: int) -> None:
 
 
 def _pair_codes(net: Network):
-    """Every comparator's pairs (i, j) as codes i*N + j, one index column at a
-    time: each batch holds at most as many codes as the network holds indices."""
+    """Every comparator's pairs (i, j) as codes i*N + j, one index column of
+    one arity group at a time, with the group's row count: each batch holds at
+    most as many codes as the network holds indices, and a batch of one row
+    holds no code twice."""
     n = net.n
     for k, idx in net.arity_groups().items():
         for a in range(k - 1):
             # in memory order, a view of the column-major batch
-            yield (idx[:, a, None] * n + idx[:, a + 1 :]).ravel(order="K")
+            yield (idx[:, a, None] * n + idx[:, a + 1 :]).ravel(order="K"), len(idx)
+
+
+# Most codes the failure path of _pair_violations takes at once
+_PAIR_CHUNK = 2**16
 
 
 def _pair_violations(net: Network) -> list[str]:
@@ -548,7 +598,8 @@ def _pair_violations(net: Network) -> list[str]:
     The pair total first: only a network that holds N(N-1)/2 pairs gets a
     bitmap. Its rows are strictly increasing, so every code is a pair with
     i < j, and N(N-1)/2 distinct codes then mean that each pair is covered
-    exactly once. Only on failure are the pairs counted.
+    exactly once. Only on failure are the pairs counted, in time linear in
+    the pairs.
     """
     n = net.n
     total = sum(len(idx) * k * (k - 1) // 2 for k, idx in net.arity_groups().items())
@@ -557,32 +608,48 @@ def _pair_violations(net: Network) -> list[str]:
         return [f"comparators cover {total} pairs, not the {expected} of {n} positions"]
     _within_budget(n * n, n)
     seen = np.zeros(n * n, dtype=bool)
-    for codes in _pair_codes(net):
+    for codes, _ in _pair_codes(net):
         seen[codes] = True
     if np.count_nonzero(seen) == expected:
         _exact(net)
         return []
 
-    # failure path: mark the pairs seen twice, then count the first ten bad ones
+    # failure path: mark the pairs seen twice, a chunk of codes at a time;
+    # a code repeats one of an earlier chunk or one of its own
     seen[:] = False
     twice = np.zeros_like(seen)
-    for codes in _pair_codes(net):
-        once, times = np.unique(codes, return_counts=True)
-        twice[once[seen[once] | (times > 1)]] = True
-        seen[once] = True
-    bad = []
-    for i in range(n - 1):
-        row = slice(i * n + i + 1, (i + 1) * n)
-        hits = np.flatnonzero(~seen[row] | twice[row])[: 10 - len(bad)]
-        bad += (hits + row.start).tolist()
+    for codes, rows in _pair_codes(net):
+        for at in range(0, codes.size, _PAIR_CHUNK):
+            chunk = codes[at : at + _PAIR_CHUNK]
+            twice[chunk[seen[chunk]]] = True
+            if rows > 1:
+                ordered = np.sort(chunk)
+                twice[ordered[1:][ordered[1:] == ordered[:-1]]] = True
+            seen[chunk] = True
+    more = expected - np.count_nonzero(seen) + np.count_nonzero(twice)
+
+    # the first ten bad pairs, i < j, in code order, a block of rows at a time
+    bad = np.empty(0, dtype=np.int64)
+    block = max(1, _PAIR_CHUNK // n)
+    for i in range(0, n - 1, block):
+        top = min(i + block, n)
+        wrong = (~seen[i * n : top * n] | twice[i * n : top * n]).reshape(top - i, n)
+        wrong &= np.arange(n) > np.arange(i, top)[:, None]
+        bad = np.concatenate([bad, np.flatnonzero(wrong)[: 10 - len(bad)] + i * n])
         if len(bad) == 10:
             break
-    bad = np.array(bad, dtype=np.int64)
-    covered = sum((codes[:, None] == bad).sum(axis=0) for codes in _pair_codes(net))
-    v = [f"pair ({c // n},{c % n}) covered {t} times" for c, t in zip(bad.tolist(), covered)]
-    more = expected - np.count_nonzero(seen) + np.count_nonzero(twice) - len(bad)
-    if more > 0:
-        v.append(f"... and {more} more pair-coverage violations")
+
+    # their coverings, counted exactly: twice now marks the bad pairs
+    twice[:] = False
+    twice[bad] = True
+    covered = np.zeros(len(bad), dtype=np.int64)
+    for codes, _ in _pair_codes(net):
+        hits = codes[twice[codes]]
+        if hits.size:
+            covered += np.bincount(np.searchsorted(bad, hits), minlength=len(bad))
+    v = [f"pair ({c // n},{c % n}) covered {t} times" for c, t in zip(bad.tolist(), covered.tolist())]
+    if more > len(bad):
+        v.append(f"... and {more - len(bad)} more pair-coverage violations")
     return v
 
 
@@ -608,10 +675,69 @@ def _level_json(idx: np.ndarray) -> str:
 def network_to_json(net: Network) -> str:
     """The network document, byte for byte as json.dumps writes it:
     ``{"n": N, "builder": name, "levels": [[{"indices": [...]}, ...], ...]}``.
+
+    Raises DimensionError, before formatting any level, when a bound on the
+    text's bytes from the group shapes exceeds the 2**31-byte budget that
+    bounds the checks (binary N above 11770).
     """
+    head = f'{{"n": {net.n}, "builder": {json.dumps(net.builder.value)}, "levels": ['
+    # a row is '{"indices": [' and ']}, ' around its k indices, each of at
+    # most `digits` digits and ', '; a level adds '[', ']' and ', '
+    digits = len(str(net.n - 1))
+    rows = sum(len(g) * (17 + k * (digits + 2)) for k, g in net.arity_groups().items())
+    _within_budget(len(head) + rows + 4 * len(net.levels) + 2, net.n)
     levels = ", ".join(_level_json(level.indices) for level in net.levels)
-    builder = json.dumps(net.builder.value)
-    return f'{{"n": {net.n}, "builder": {builder}, "levels": [{levels}]}}'
+    return f"{head}{levels}]}}"
+
+
+# The header network_to_json writes, and the text between two of its levels
+_HEADER = re.compile(r'\{"n": ([1-9][0-9]*), "builder": "([a-z]+)", "levels": \[')
+_LEVEL_BREAK = "}], [{"
+# every character of the levels but digits, spaces and minus signs
+_TO_SPACES = str.maketrans(dict.fromkeys('{}[]":,indces', " "))
+
+
+def _canonical_network(text: str) -> Network | None:
+    """The network whose network_to_json is text, byte for byte, or None.
+
+    Each level's rows are its count of ':', and its arity is its first row's
+    count of ',' plus one. All indices are read by one np.fromstring, which
+    raises ValueError on a token it cannot read, such as 1.5, but reads -1,
+    and saturates 99999999999999999999 to the largest int64. So the network
+    is kept only if it writes text back exactly; then json.loads would have
+    read the same network. None on any other outcome, and on any error.
+    """
+    header = _HEADER.match(text)
+    if header is None or not text.endswith("]}"):
+        return None
+    start, stop = header.end(), len(text) - 2
+    shapes = []
+    begin = start
+    while begin < stop:
+        end = text.find(_LEVEL_BREAK, begin, stop)
+        end = stop if end < 0 else end
+        row = text.find("]", begin, end)
+        if row < 0:
+            # every canonical level closes its first row's indices; and a
+            # count to -1 would scan to the end of the text once per level
+            return None
+        shapes.append((text.count(":", begin, end), text.count(",", begin, row) + 1))
+        begin = end + len(_LEVEL_BREAK)
+    try:
+        values = np.fromstring(text[start:stop].translate(_TO_SPACES), dtype=np.int64, sep=" ")
+        # a level of no rows writes back as [], but Network refuses it
+        if min((m for m, _ in shapes), default=1) < 1 or sum(m * k for m, k in shapes) != values.size:
+            return None
+        n = int(header[1])
+        groups = _empty_groups(n, shapes)
+        at = 0
+        for rows in _row_ranges(groups, shapes):
+            rows[...] = values[at : at + rows.size].reshape(rows.shape)
+            at += rows.size
+        net = Network._from_groups(n, header[2], groups, shapes)
+        return net if network_to_json(net) == text else None
+    except (RankNetError, ValueError):
+        return None
 
 
 _INDICES = operator.itemgetter("indices")
@@ -620,6 +746,11 @@ _INDICES = operator.itemgetter("indices")
 def network_from_json(doc) -> Network:
     """Load a network document (JSON text or its parsed form).
 
+    Text that network_to_json writes takes a fast path: one pass reads all
+    its indices, and the network is kept only if network_to_json writes the
+    text back byte for byte. Any other document, including bytes, goes
+    through json.loads, which writes every error message.
+
     Raises ValidationError for a malformed document, for indices that are
     not integers (booleans included), for a level whose comparators differ
     in arity, and for any network that validate_network rejects; and, as
@@ -627,6 +758,12 @@ def network_from_json(doc) -> Network:
     exceed the check's memory budget (a position of 2**28 or more, or a
     right pair total with N above 46340).
     """
+    net = _canonical_network(doc) if isinstance(doc, str) else None
+    return _network_from_doc(doc) if net is None else _validated(net)
+
+
+def _network_from_doc(doc) -> Network:
+    """network_from_json through json.loads, for any document."""
     try:
         if isinstance(doc, (str, bytes)):
             doc = json.loads(doc)
@@ -634,7 +771,10 @@ def network_from_json(doc) -> Network:
         levels = [list(map(_INDICES, level)) for level in doc["levels"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed network document: {exc}") from exc
-    net = Network(n, levels, builder)
+    return _validated(Network(n, levels, builder))
+
+
+def _validated(net: Network) -> Network:
     report = validate_network(net)
     if not report.ok:
         raise ValidationError(f"invalid {net.builder.value} network: {report.violations[0]}")

@@ -242,6 +242,20 @@ class TestExport:
             doc = json.loads(f.read_text())
             assert doc["levels"] == [[{"indices": [0, 1, 2, 3, 4]}]]
 
+    def test_json_over_budget(self, capsys, tmp_path, monkeypatch):
+        # a budget that admits binary N = 64's arity group, but not its text
+        largest = max(g.nbytes for g in netbuild.binary_network(64).arity_groups().values())
+        monkeypatch.setattr(netbuild, "_CHECK_BYTES", largest)
+        f = tmp_path / "net.json"
+        code, _, err = run(
+            capsys, "export", "--n", "64", "--algo", "binary", "--format", "json", "--out", str(f),
+        )
+        assert code == 2 and "needs" in err and not f.exists()
+        code, _, _ = run(
+            capsys, "export", "--n", "64", "--algo", "binary", "--format", "dot", "--out", str(f),
+        )
+        assert code == 0
+
     def test_io_failure(self, capsys):
         code, _, err = run(
             capsys, "export", "--n", "4", "--algo", "prime",

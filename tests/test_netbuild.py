@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import json
+import re
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from ranknet import (
     DomainError,
     Level,
     Network,
+    RankNetError,
     ValidationError,
     ValidationReport,
     ascending_factorization,
@@ -44,6 +47,61 @@ def pair_counter(net):
             for b in range(a + 1, len(idx)):
                 pairs[(idx[a], idx[b])] += 1
     return pairs
+
+
+def invalid_document(n, builder, *levels):
+    return json.dumps(
+        {"n": n, "builder": builder, "levels": [[{"indices": idx} for idx in lev] for lev in levels]}
+    )
+
+
+INVALID_DOCUMENTS = [
+    # executed [3, 1, 4, 2] to [1, 0, 1, 0], not a permutation
+    invalid_document(4, "binary", [[0, 1], [2, 3]]),
+    # executed [0, 1, 2, 3] to [0, 1, 0, 0], reading 1.5 as 1
+    invalid_document(4, "binary", [[0, 1.5]]),
+    invalid_document(2, "binary", [[False, True]]),
+    invalid_document(6, "divisor", [[0, 1, 2], [3, 4]]),
+    invalid_document(2, "binary", [[1, 0]]),
+    # a few bytes that must not make validation allocate N * N counts
+    invalid_document(100000, "binary", [[0, 1]]),
+    # nor N position slots: raised DimensionError, not the pair total
+    invalid_document(300_000_000, "binary"),
+    # raised OverflowError while validation tagged positions by level
+    invalid_document(10**30, "binary", [[0, 1]]),
+    invalid_document(2.0, "binary", [[0, 1]]),
+    invalid_document(2, "unknown", [[0, 1]]),
+    '{"n": 2, "builder": "binary", "levels": [[{"indices": [0, 1]}]',
+    '{"n": 2, "builder": "binary", "levels": [[[0, 1]]]}',
+    '{"n": 2, "builder": "binary"}',
+    "[]",
+]
+
+
+def reference_violations(net):
+    """validate_network's report, computed position by position in Python."""
+    n, levels = net.n, [lv.indices.tolist() for lv in net.levels]
+    v = []
+    if net.builder == Builder.PRIME:
+        v += [f"level {li}: non-prime arity {len(lv[0])}" for li, lv in enumerate(levels)
+              if smallest_prime_factor(len(lv[0])) != len(lv[0])]
+    gaps = []
+    for li, lv in enumerate(levels):
+        count = Counter(i for row in lv for i in row)
+        if any(t > 1 for t in count.values()):
+            v.append(f"level {li}: comparators overlap at {sorted(i for i, t in count.items() if t > 1)}")
+        if net.builder != Builder.BINARY and len(count) < n:
+            gaps.append(f"level {li}: does not cover all {n} positions")
+    v += gaps
+    pairs = pair_counter(net)
+    total, expected = sum(pairs.values()), n * (n - 1) // 2
+    if total != expected:
+        return v + [f"comparators cover {total} pairs, not the {expected} of {n} positions"]
+    bad = [(i, j) for i in range(n) for j in range(i + 1, n) if pairs[i, j] != 1]
+    v += [f"pair ({i},{j}) covered {pairs[i, j]} times" for i, j in bad[:10]]
+    if len(bad) > 10:
+        v.append(f"... and {len(bad) - 10} more pair-coverage violations")
+    return v
 
 
 class TestNumberTheory:
@@ -221,15 +279,54 @@ class TestValidation:
                 [(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5)]]
              + ["pair (2,3) covered 5 times", "... and 5 more pair-coverage violations"],
              None),
+            # one (N-1)-ary comparator plus N-1 pairs, one of them repeated: a
+            # pair seen twice within one batch of codes, which is one group column
+            (6, [[(0, 1, 2, 3, 4)], [(0, 5)], [(1, 5)], [(2, 5)], [(3, 5)], [(3, 5)]], "binary",
+             ["pair (3,5) covered 2 times", "pair (4,5) covered 0 times"], None),
+            # the same with all pairs in one level, sharing their first position
+            (6, [[(1, 2, 3, 4, 5)], [(0, 1), (0, 2), (0, 3), (0, 4), (0, 1)]], "binary",
+             ["level 1: comparators overlap at [0, 1]",
+              "pair (0,1) covered 2 times", "pair (0,5) covered 0 times"], None),
         ],
         ids=["overlap", "coverage", "arity", "pair-total", "pair-twice", "huge-n-no-pairs",
-         "huge-n-one-pair", "pairs-over-10"],
+         "huge-n-one-pair", "pairs-over-10", "wide-plus-pairs", "wide-plus-pairs-one-level"],
     )
     def test_level_violations(self, n, levels, builder, violations, valid_as):
         report = validate_network(Network(n, levels, builder))
         assert report == ValidationReport(False, violations)
         if valid_as:
             assert validate_network(Network(n, levels, valid_as)).ok
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_reports_match_reference(self, data):
+        # builder networks with levels dropped, repeated, rewritten or grown,
+        # so that many keep the right pair total; small batch and chunk sizes
+        # send the batched checks across several batches and chunks, and a
+        # network naming position N-1 level by level
+        n = data.draw(st.integers(2, 13))
+        builder = data.draw(st.sampled_from(Builder))
+        levels = [lv.indices.tolist() for lv in build_network(n, data.draw(st.sampled_from(Builder))).levels]
+        for _ in range(data.draw(st.integers(0, 3))):
+            li = data.draw(st.integers(0, len(levels) - 1))
+            k = len(levels[li][0])
+            row = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)))
+            edit = data.draw(st.sampled_from(["drop", "repeat", "rewrite", "grow"]))
+            if edit == "drop" and len(levels) > 1:
+                levels.pop(li)
+            elif edit == "repeat":
+                levels.insert(data.draw(st.integers(0, len(levels))), levels[li])
+            elif edit == "rewrite":
+                levels[li] = levels[li][1:] + [row]
+            else:
+                levels[li] = levels[li] + [row]
+        net = Network(n, levels, builder)
+        expected = reference_violations(net)
+        with pytest.MonkeyPatch.context() as mp:
+            for slots, chunk in ((2**16, 2**16), (n - 1, 3)):
+                mp.setattr(netbuild, "_LEVEL_SLOTS", slots)
+                mp.setattr(netbuild, "_PAIR_CHUNK", chunk)
+                assert validate_network(net).violations == expected
 
     def test_binary_n5_pair_count(self):
         net = binary_network(5)
@@ -369,9 +466,10 @@ class TestLayout:
             net = build_network(n, builder)
             groups = net.arity_groups()
             assert_read_only_columns(net)
-            others = [Network(n, [level.indices for level in net.levels], builder)]
-            if n <= 200:  # the JSON route adds only parsing, about 1 s a network at N = 1000
-                others.append(network_from_json(network_to_json(net)))
+            others = [
+                Network(n, [level.indices for level in net.levels], builder),
+                network_from_json(network_to_json(net)),
+            ]
             for other in others:
                 assert_read_only_columns(other)
                 assert list(other.arity_groups()) == list(groups), n
@@ -405,38 +503,70 @@ class TestSerialization:
         assert network_to_json(network_from_json(text)) == text
 
     def test_from_json_rejects_invalid_networks(self):
-        def doc(n, builder, *levels):
-            return json.dumps(
-                {
-                    "n": n,
-                    "builder": builder,
-                    "levels": [[{"indices": idx} for idx in lev] for lev in levels],
-                }
-            )
-
-        for text in (
-            # executed [3, 1, 4, 2] to [1, 0, 1, 0], not a permutation
-            doc(4, "binary", [[0, 1], [2, 3]]),
-            # executed [0, 1, 2, 3] to [0, 1, 0, 0], reading 1.5 as 1
-            doc(4, "binary", [[0, 1.5]]),
-            doc(2, "binary", [[False, True]]),
-            doc(6, "divisor", [[0, 1, 2], [3, 4]]),
-            doc(2, "binary", [[1, 0]]),
-            # a few bytes that must not make validation allocate N * N counts
-            doc(100000, "binary", [[0, 1]]),
-            # nor N position slots: raised DimensionError, not the pair total
-            doc(300_000_000, "binary"),
-            # raised OverflowError while validation tagged positions by level
-            doc(10**30, "binary", [[0, 1]]),
-            doc(2.0, "binary", [[0, 1]]),
-            doc(2, "unknown", [[0, 1]]),
-            '{"n": 2, "builder": "binary", "levels": [[{"indices": [0, 1]}]',
-            '{"n": 2, "builder": "binary", "levels": [[[0, 1]]]}',
-            '{"n": 2, "builder": "binary"}',
-            "[]",
-        ):
+        for text in INVALID_DOCUMENTS:
             with pytest.raises(ValidationError):
                 network_from_json(text)
+
+    def test_fast_path_matches_json_loads(self):
+        # network_from_json against its json.loads path, _network_from_doc:
+        # the same network, or the same exception type and message
+        def outcome(load, text):
+            try:
+                net = load(text)
+            except RankNetError as exc:
+                return type(exc), str(exc)
+            return network_to_json(net), {k: g.tolist() for k, g in net.arity_groups().items()}
+
+        canonical = [network_to_json(build_network(n, b)) for n in (2, 7, 12, 30) for b in Builder]
+        text = canonical[-1]  # prime N = 30, whose first level is [{"indices": [0, 1]}, ...
+        first = '[{"indices": [0, '
+        perturbed = [
+            text.replace(", ", ","),
+            text.replace(": ", ":"),
+            " " + text,
+            text + "\n",
+            text.replace('{"n": 30, "builder": "prime"', '{"builder": "prime", "n": 30'),
+            *(text.replace(first, f'[{{"indices": [{x}, ', 1)
+              for x in ("1.0", "01", "-1", "true", "99999999999999999999")),
+            text.replace('{"indices": [28, 29]}', '{"indices": [28, 99999999999999999999]}'),
+            '{"n": 30, "builder": "prime", "levels": []}',
+            '{"n": 1, "builder": "prime", "levels": []}',
+            '{"n": 2, "builder": "binary", "levels": [[]]}',
+            text + " ",
+            text + "]}",
+            text.encode(),
+            text.replace('"n": 30', f'"n": {10**30}'),
+            text.replace('"n": 30', '"n": 030'),
+            text.replace('"prime"', '"bogus"'),
+        ]
+        # the header, then 10**5 levels with no ']': each must cost time in
+        # its own bytes, not in the rest of the text, which would take about
+        # half a minute here; json.loads rejects it at its first ','
+        levels = '{"n": 30, "builder": "prime", "levels": [' + ",}], [{" * 10**5 + "]}"
+        started = time.perf_counter()
+        assert netbuild._canonical_network(levels) is None
+        assert time.perf_counter() - started < 2
+        for text in canonical:
+            assert netbuild._canonical_network(text) is not None
+        for text in [*canonical, *perturbed, levels, *INVALID_DOCUMENTS]:
+            assert outcome(network_from_json, text) == outcome(netbuild._network_from_doc, text)
+
+    @pytest.mark.parametrize(
+        "n, builder", [(16, "binary"), (15, "binary"), (12, "divisor"), (30, "prime"), (7, "prime")]
+    )
+    def test_json_budget(self, monkeypatch, n, builder):
+        # a budget one byte below the text stands in for a network whose text
+        # would not fit, such as binary N = 16384 (about 3.7 GB); the bound is
+        # taken from the group shapes, before any level is formatted
+        net = build_network(n, builder)
+        text = network_to_json(net)
+        monkeypatch.setattr(netbuild, "_CHECK_BYTES", len(text) - 1)
+        with pytest.raises(DimensionError, match="needs") as raised:
+            network_to_json(net)
+        bound = int(re.search(r"needs (\d+) bytes", str(raised.value))[1])
+        assert len(text) <= bound <= 2 * len(text)
+        monkeypatch.setattr(netbuild, "_CHECK_BYTES", bound)
+        assert network_to_json(net) == text
 
     def test_json_matches_pinned_layout(self):
         pinned = json.loads(
