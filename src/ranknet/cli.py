@@ -23,13 +23,17 @@ __all__ = ["main"]
 def _parse_numbers(text: str) -> np.ndarray:
     """Keys from comma or whitespace separated numbers.
 
-    All-integer input stays exact int64. Input with a decimal token is read
-    as float64, and an integer token that float64 would round is refused.
+    All-integer input that fits 64 bits stays exact. Other input, with a
+    decimal token or an integer beyond 64 bits, is read as float64, and an
+    integer token that float64 would round is refused.
     """
     tokens = text.replace(",", " ").split()
     try:
         keys = np.asarray([int(t) for t in tokens])
     except ValueError:  # not all integers
+        keys = None
+    # numpy holds integers beyond 64 bits as Python objects
+    if keys is None or keys.dtype == object:
         try:
             keys = np.asarray([float(t) for t in tokens])
         except ValueError as exc:

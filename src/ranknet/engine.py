@@ -29,7 +29,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionError, PermutationError
-from .netbuild import Network, _require_exact_pairs
+from .netbuild import Network, _require_valid
 from .rankcore import as_keys
 
 __all__ = [
@@ -80,11 +80,7 @@ def _keys(net: Network, x) -> np.ndarray:
     a = as_keys(x)
     if a.size != net.n:
         raise DimensionError(f"input length {a.size} != network size {net.n}")
-    # summed local ranks are the stable rank only when every pair of positions
-    # lies in exactly one comparator; builder output and networks that passed
-    # once are marked, so for them this costs one attribute read
-    if not net._pairs_exact:
-        _require_exact_pairs(net)
+    _require_valid(net)
     return a
 
 

@@ -484,48 +484,45 @@ def validate_network(net: Network) -> ValidationReport:
     so only within-level disjointness is enforced there. Arity, index range
     and index order are checked when the network is made. Every check runs
     on every call, builder output included; a network whose pairs pass is
-    not checked again by execute. Raises DimensionError when a check would
-    allocate more than a fixed budget: one int64 slot per position up to the
-    largest the network names, or, for a network with the right pair total,
-    an N*N boolean pair bitmap.
+    not checked again by execute. Raises DimensionError when a network with
+    the right pair total would need an N*N boolean pair bitmap larger than a
+    fixed budget.
     """
     v: list[str] = []
-    n = net.n
-    groups = net.arity_groups()
     shapes = [level.indices.shape for level in net.levels]
     if net.builder == Builder.PRIME:
-        composite = {k for k in groups if not is_prime(k)}
+        composite = {k for k in net.arity_groups() if not is_prime(k)}
         v += [f"level {li}: non-prime arity {k}" for li, (_, k) in enumerate(shapes) if k in composite]
-
-    # slots up to the largest position named, not N of them, so that a small
-    # document with a huge n still gets its report; rows increase, so each
-    # group's largest position is in its last column
-    span = 1 + max((int(idx[:, -1].max()) for idx in groups.values()), default=-1)
-    _within_budget(8 * span, n)
-    v += _level_violations(net, shapes, span)
+    v += _level_violations(net, shapes)
     v += _pair_violations(net)
     return ValidationReport(not v, v)
 
 
-# Most slots, levels times span, one batch of _level_violations takes
+# Most slots, levels times span, one bitmap of _level_violations takes
 _LEVEL_SLOTS = 2**16
 
 
-def _level_violations(net: Network, shapes, span: int) -> list[str]:
+def _repeats(codes: np.ndarray) -> np.ndarray:
+    """Every occurrence of a code after its first, in code order."""
+    ordered = np.sort(codes)
+    return ordered[1:][ordered[1:] == ordered[:-1]]
+
+
+def _level_violations(net: Network, shapes) -> list[str]:
     """Overlap lines, then coverage lines for divisor and prime, for every level.
 
     A batch of levels of one arity group at a time, at most _LEVEL_SLOTS
-    slots or one level, as codes level * span + position. When the batch
-    fits, a bitmap passes it if its codes set as many bits as there are
-    codes. Otherwise each code keeps the last entry written to it, so the
-    entries that did not stick repeat a position of their level, in time
-    linear in the batch's rows, not in its span; only levels with a repeat
-    are gone through one by one. Without repeats, m rows of k distinct
-    positions in [0, N) cover all N exactly when m * k = N.
+    slots or one level, as codes level * span + position, span one past the
+    largest position named. When the batch fits, a bitmap passes it if its
+    codes set as many bits as there are codes. Otherwise the batch's sorted
+    codes give its repeats, so no array is sized by span; only levels with
+    a repeat are gone through one by one. Without repeats, m rows of k
+    distinct positions in [0, N) cover all N exactly when m * k = N.
     """
     n = net.n
+    # rows increase, so each group's largest position is in its last column
+    span = 1 + max((int(idx[:, -1].max()) for idx in net.arity_groups().values()), default=-1)
     per = max(1, _LEVEL_SLOTS // max(span, 1))
-    slots = np.empty(per * span, dtype=np.int64)
     level_ids: dict[int, list[int]] = {k: [] for k in net.arity_groups()}
     for li, (_, k) in enumerate(shapes):
         level_ids[k].append(li)
@@ -539,14 +536,12 @@ def _level_violations(net: Network, shapes, span: int) -> list[str]:
             level = np.repeat(np.arange(stop - first) * span, m[first:stop])
             codes = (g[ends[first] - m[first] : ends[stop - 1]] + level[:, None]).ravel(order="K")
             if span <= _LEVEL_SLOTS:
-                # two to three times faster than the last entries, for a batch that passes
+                # about five times faster than sorting, for a batch that passes
                 seen = np.zeros((stop - first) * span, dtype=bool)
                 seen[codes] = True
                 if np.count_nonzero(seen) == codes.size:
                     continue
-            entry = np.arange(codes.size)
-            slots[codes] = entry
-            repeated = codes[slots[codes] != entry]
+            repeated = _repeats(codes)
             if repeated.size:
                 lost = np.bincount(repeated // span)
                 # the distinct repeated codes, split into their levels
@@ -562,10 +557,10 @@ def _level_violations(net: Network, shapes, span: int) -> list[str]:
     return v
 
 
-# Most bytes one array of a network or of its checks may take: an arity
-# group, the N*N pair bitmap, or the int64 position slots; and the bytes of
-# a network's JSON text. 2**31 admits a binary network for N up to 16384, a
-# bitmap for N up to 46340, and slots for every position below 2**28.
+# Most bytes one array of a network or of its checks may take, an arity
+# group or the N*N pair bitmap, and the bytes of a network's JSON text.
+# 2**31 admits a binary network for N up to 16384 and a bitmap for N up to
+# 46340.
 _CHECK_BYTES = 2**31
 
 
@@ -623,8 +618,7 @@ def _pair_violations(net: Network) -> list[str]:
             chunk = codes[at : at + _PAIR_CHUNK]
             twice[chunk[seen[chunk]]] = True
             if rows > 1:
-                ordered = np.sort(chunk)
-                twice[ordered[1:][ordered[1:] == ordered[:-1]]] = True
+                twice[_repeats(chunk)] = True
             seen[chunk] = True
     more = expected - np.count_nonzero(seen) + np.count_nonzero(twice)
 
@@ -653,13 +647,19 @@ def _pair_violations(net: Network) -> list[str]:
     return v
 
 
-def _require_exact_pairs(net: Network) -> None:
-    """Raise ValidationError unless every pair of positions lies in exactly one
-    comparator, the condition under which summed partial ranks are the stable
-    rank. execute and partial_rank_table call it once per unchecked network."""
-    v = _pair_violations(net)
-    if v:
-        raise ValidationError(f"invalid {net.builder.value} network: {v[0]}")
+def _require_valid(net: Network, violations: list[str] | None = None) -> Network:
+    """net, or ValidationError naming the first of its violations.
+
+    By default these are the pair violations, for execute and
+    partial_rank_table: summed partial ranks are the stable rank only when
+    every pair of positions lies in exactly one comparator. A network known
+    to pass (builder output, or one that passed once) is not checked again.
+    """
+    if violations is None:
+        violations = [] if net._pairs_exact else _pair_violations(net)
+    if violations:
+        raise ValidationError(f"invalid {net.builder.value} network: {violations[0]}")
+    return net
 
 
 # ---------------------------------------------------------------------------
@@ -755,11 +755,13 @@ def network_from_json(doc) -> Network:
     not integers (booleans included), for a level whose comparators differ
     in arity, and for any network that validate_network rejects; and, as
     validate_network does, DimensionError when checking the network would
-    exceed the check's memory budget (a position of 2**28 or more, or a
-    right pair total with N above 46340).
+    exceed the check's memory budget (a right pair total with N above
+    46340).
     """
     net = _canonical_network(doc) if isinstance(doc, str) else None
-    return _network_from_doc(doc) if net is None else _validated(net)
+    if net is None:
+        return _network_from_doc(doc)
+    return _require_valid(net, validate_network(net).violations)
 
 
 def _network_from_doc(doc) -> Network:
@@ -771,14 +773,8 @@ def _network_from_doc(doc) -> Network:
         levels = [list(map(_INDICES, level)) for level in doc["levels"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed network document: {exc}") from exc
-    return _validated(Network(n, levels, builder))
-
-
-def _validated(net: Network) -> Network:
-    report = validate_network(net)
-    if not report.ok:
-        raise ValidationError(f"invalid {net.builder.value} network: {report.violations[0]}")
-    return net
+    net = Network(n, levels, builder)
+    return _require_valid(net, validate_network(net).violations)
 
 
 def network_to_dot(net: Network) -> str:

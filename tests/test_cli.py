@@ -72,6 +72,13 @@ class TestSort:
         code, _, err = run(capsys, "sort", "--input", str(f))
         assert code == 2
         assert "9223372036854775809" in err
+        # and below int64, where numpy makes an object array: float64 rounds
+        # -(2**63 + 1) to -2**63
+        f.write_text("-9223372036854775809,0")
+        code, out, err = run(capsys, "sort", "--input", str(f))
+        assert code == 2
+        assert out == ""
+        assert "-9223372036854775809" in err
 
     def test_exact_input_kept(self, capsys, tmp_path):
         f = tmp_path / "in.txt"
@@ -84,6 +91,11 @@ class TestSort:
         code, out, _ = run(capsys, "sort", "--input", str(f))
         assert code == 0
         assert out == "pi: 1,0,2\nsorted: 0.5,9007199254740992.0,1e+20\n"
+        # 2**64 is beyond uint64, where numpy makes an object array, but exact in float64
+        f.write_text("18446744073709551616,1")
+        code, out, _ = run(capsys, "sort", "--input", str(f))
+        assert code == 0
+        assert out == "pi: 1,0\nsorted: 1.0,1.8446744073709552e+19\n"
 
     def test_non_utf8_input_rejected(self, capsys, tmp_path, monkeypatch):
         f = tmp_path / "in.txt"

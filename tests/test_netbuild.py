@@ -67,6 +67,9 @@ INVALID_DOCUMENTS = [
     invalid_document(100000, "binary", [[0, 1]]),
     # nor N position slots: raised DimensionError, not the pair total
     invalid_document(300_000_000, "binary"),
+    # a position of 2**28 or more: raised DimensionError for int64 slots up
+    # to it, where [0, 1] under the same n got its pair total
+    invalid_document(2**28 + 1, "binary", [[0, 2**28]]),
     # raised OverflowError while validation tagged positions by level
     invalid_document(10**30, "binary", [[0, 1]]),
     invalid_document(2.0, "binary", [[0, 1]]),
@@ -273,6 +276,15 @@ class TestValidation:
             (2**32, [[(0, 1)]], "binary",
              ["comparators cover 1 pairs, not the 9223372034707292160 of 4294967296 positions"],
              None),
+            # no check array is sized by the largest position named
+            (2**28 + 1, [[(0, 2**28)]] * 3, "binary",
+             ["comparators cover 3 pairs, not the 36028797153181696 of 268435457 positions"],
+             None),
+            # position 0 three times: two occurrences lost, so 4 distinct of 5;
+            # one lost per repeated position would count 5 and cover all
+            (5, [[(0, 1), (0, 2), (0, 3)]], "divisor",
+             ["level 0: comparators overlap at [0]", "level 0: does not cover all 5 positions",
+              "comparators cover 3 pairs, not the 10 of 5 positions"], None),
             (6, [[(0, 1), (2, 3), (4, 5)]] * 5, "binary",
              ["pair (0,1) covered 5 times"]
              + [f"pair ({i},{j}) covered 0 times" for i, j in
@@ -289,7 +301,8 @@ class TestValidation:
               "pair (0,1) covered 2 times", "pair (0,5) covered 0 times"], None),
         ],
         ids=["overlap", "coverage", "arity", "pair-total", "pair-twice", "huge-n-no-pairs",
-         "huge-n-one-pair", "pairs-over-10", "wide-plus-pairs", "wide-plus-pairs-one-level"],
+         "huge-n-one-pair", "huge-position", "three-times", "pairs-over-10", "wide-plus-pairs",
+         "wide-plus-pairs-one-level"],
     )
     def test_level_violations(self, n, levels, builder, violations, valid_as):
         report = validate_network(Network(n, levels, builder))
@@ -356,11 +369,12 @@ class TestValidation:
         assert validate_network(short).violations == [
             "comparators cover 1 pairs, not the 120 of 16 positions"
         ]
-        # the position slots reach the largest position named, not N
+        # no check allocates by the largest position named, so a network naming
+        # N - 1 gets its report under a budget below 8 bytes per position
         monkeypatch.setattr(netbuild, "_CHECK_BYTES", 8 * n - 1)
-        assert not validate_network(short).ok
-        with pytest.raises(DimensionError, match=f"needs {8 * n} bytes"):
-            validate_network(Network(n, [[(0, n - 1)]], "binary"))
+        assert validate_network(Network(n, [[(0, n - 1)]], "binary")).violations == [
+            "comparators cover 1 pairs, not the 120 of 16 positions"
+        ]
 
     @pytest.mark.parametrize(
         "n, builder", [(16, "binary"), (15, "binary"), (12, "divisor"), (30, "prime"), (7, "prime")]
