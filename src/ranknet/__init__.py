@@ -18,6 +18,7 @@ from .engine import (
     apply_permutation,
     execute,
     partial_rank_table,
+    rank,
     table_to_csv,
 )
 from .errors import (

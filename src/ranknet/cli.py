@@ -9,6 +9,8 @@ included), 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
+import re
 import sys
 
 import numpy as np
@@ -19,13 +21,17 @@ from .netbuild import Builder
 
 __all__ = ["main"]
 
+# a token that int() reads, unless it has more digits than CPython's limit
+_INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
+
 
 def _parse_numbers(text: str) -> np.ndarray:
     """Keys from comma or whitespace separated numbers.
 
     All-integer input that fits 64 bits stays exact. Other input, with a
     decimal token or an integer beyond 64 bits, is read as float64, and an
-    integer token that float64 would round is refused.
+    integer token that float64 would round is refused, as is one too long
+    for int() to read (more than 4300 digits by default).
     """
     tokens = text.replace(",", " ").split()
     try:
@@ -43,15 +49,20 @@ def _parse_numbers(text: str) -> np.ndarray:
         for i in np.flatnonzero(np.abs(keys) >= 2**53).tolist():
             try:
                 exact = int(tokens[i]) == float(keys[i])
-            except ValueError:  # a decimal token
-                continue
+            except ValueError:
+                if _INTEGER.fullmatch(tokens[i]):
+                    raise InvalidKey(
+                        f"integer {tokens[i][:20]}... of {len(tokens[i])} characters"
+                        " is too long to read"
+                    ) from None
+                continue  # a decimal token
             if not exact:
                 raise InvalidKey(f"integer {tokens[i]} cannot be held exactly as a float64")
     return rankcore.as_keys(keys)
 
 
 def _fmt(values) -> str:
-    return ",".join(str(v) for v in values)
+    return ",".join(map(str, values))
 
 
 def cmd_sort(args) -> int:
@@ -61,10 +72,7 @@ def cmd_sort(args) -> int:
     else:
         text = sys.stdin.read()
     x = _parse_numbers(text)
-    if x.size == 1:
-        pi = np.zeros(1, dtype=np.int64)
-    else:
-        pi = engine.execute(netbuild.build_network(x.size, args.algo), x)
+    pi = engine.rank(x, args.algo)
     print(f"pi: {_fmt(pi.tolist())}")
     print(f"sorted: {_fmt(engine.apply_permutation(x, pi).tolist())}")
     return 0
@@ -171,6 +179,7 @@ def cmd_export(args) -> int:
     return 0
 
 
+@functools.cache  # built on first use, then reused for every call in the process
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ranknet")
     sub = p.add_subparsers(dest="command", required=True)

@@ -17,6 +17,11 @@ The sum is the stable rank only when every pair of positions lies in exactly
 one comparator. Builder output does by construction; any other network is
 checked once, before its first use, and raises ValidationError if it does
 not (DimensionError if the check's pair bitmap would exceed its budget).
+
+``rank(x, builder)`` gives the same result as executing the builder's
+network without building it: the network's rows come a chunk at a time from
+netbuild's step generator, and each chunk is added into the accumulator as
+it comes, so memory stays O(N) plus a chunk.
 """
 
 from __future__ import annotations
@@ -29,11 +34,12 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionError, PermutationError
-from .netbuild import Network, _require_valid
+from .netbuild import Builder, Network, _builder, _require_valid, _steps
 from .rankcore import as_keys
 
 __all__ = [
     "execute",
+    "rank",
     "partial_rank_table",
     "apply_permutation",
     "PartialRankTable",
@@ -98,6 +104,25 @@ def execute(net: Network, x, workers: int | None = None) -> np.ndarray:
     acc = np.zeros(net.n, dtype=np.int64)
     for idx in net.arity_groups().values():
         _accumulate(acc, a, idx)
+    return acc
+
+
+def rank(x, builder: Builder | str) -> np.ndarray:
+    """The stable rank of x by the builder's network on len(x) positions,
+    without building it: exactly execute(build_network(len(x), builder), x).
+
+    The network's comparators are made a chunk of rows at a time, by the
+    writers the builders use, and each chunk is added into the ranks as it
+    is made, so memory is O(N) plus one chunk per arity, never the whole
+    network, and no group budget applies. Builder output is exact by
+    construction, so no pair check runs. One key has rank 0.
+    """
+    a = as_keys(x)
+    builder = _builder(builder)
+    acc = np.zeros(a.size, dtype=np.int64)
+    if a.size > 1:
+        for idx in _steps(a.size, builder):
+            _accumulate(acc, a, idx)
     return acc
 
 

@@ -27,19 +27,26 @@ k = 0..D-1, join the blocks. A network one of whose arrays would exceed
 2**31 bytes, such as binary for N > 16384, raises DimensionError before it
 is allocated.
 
+Each builder's network is one list of runs of levels (_runs), each run with
+the writer of its rows: the block rows w(j), the cross rows v(j, k) for a
+run of k, or the circle method's columns for a run of rounds. The builders
+call each writer once, on its run's row range of its arity group; _steps
+calls the same writers on one small buffer per arity and yields the rows a
+chunk at a time, for engine.rank, which ranks without building a network.
+
 Networks never move data: every comparator emits local stable ranks and the
 engine adds them into a global accumulator.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
-import math
 import numbers
 import operator
 import re
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
@@ -339,7 +346,7 @@ def index_vector_v(j: int, k: int, d: int, D: int) -> list[int]:
 
     Picks one position from each of the d contiguous blocks of size D;
     strictly increasing since consecutive elements differ by at least 1.
-    The scalar form of the cross comparators that _levels writes.
+    The scalar form of the cross comparators that _cross_rows writes.
     """
     if not (0 <= j < D and 0 <= k < D):
         raise DomainError(f"j and k must lie in [0, {D}), got j={j}, k={k}")
@@ -367,25 +374,7 @@ def binary_network(n: int) -> Network:
     Rounds come from the circle method: N-1 rounds of N/2 pairs for even N,
     N rounds of (N-1)/2 pairs for odd N (one position idle per round).
     """
-    n = _size(n)
-    m = n + n % 2  # an odd N gets an idle slot, position m-1
-    c, p = m - 1, m // 2 - 1
-    hub = int(m == n)  # the pair of the hub m-1 and r in round r, dropped for odd N
-    shapes = [(hub + p, 2)] * c
-    groups = _empty_groups(n, shapes)
-    # each round's lo and hi columns, as (c, hub + p) views of the group's columns
-    lo, hi = (groups[2][:, i].reshape(c, hub + p) for i in (0, 1))
-    if hub:
-        lo[:, 0] = np.arange(c)
-        hi[:, 0] = m - 1
-    # Round r pairs the hub with r, and (r+i) mod c with (r-i) mod c for
-    # i = 1..p. Both sequences rotate by one per round, so their (c, p)
-    # grids are windows over one period, taken without copying.
-    up = sliding_window_view(np.arange(1, c + p) % c, p)
-    down = sliding_window_view(np.arange(-p, c) % c, p)[:c, ::-1]
-    np.minimum(up, down, out=lo[:, hub:])
-    np.maximum(up, down, out=hi[:, hub:])
-    return _exact(Network._from_groups(n, Builder.BINARY, groups, shapes))
+    return _built(_size(n), Builder.BINARY)
 
 
 def divisor_network(n: int) -> Network:
@@ -395,17 +384,12 @@ def divisor_network(n: int) -> Network:
     block level, cross-block pairs by a unique (j, k), since differences
     below d are invertible mod N/d.
     """
-    n = _size(n)
-    d = smallest_prime_factor(n)
-    groups, shapes = _levels([d, n // d] if d < n else [d])
-    return _exact(Network._from_groups(n, Builder.DIVISOR, groups, shapes))
+    return _built(_size(n), Builder.DIVISOR)
 
 
 def prime_network(n: int) -> Network:
     """Recursive divisor decomposition down to prime-arity comparators."""
-    n = _size(n)
-    groups, shapes = _levels(ascending_factorization(n))
-    return _exact(Network._from_groups(n, Builder.PRIME, groups, shapes))
+    return _built(_size(n), Builder.PRIME)
 
 
 def _exact(net: Network) -> Network:
@@ -415,55 +399,141 @@ def _exact(net: Network) -> Network:
     return net
 
 
-def _levels(factors: list[int]) -> tuple[dict[int, np.ndarray], list[tuple[int, int]]]:
-    """The arity groups (as _empty_groups makes them, filled in) and the level
-    shapes of the factor sequence ``factors``, whose product is N.
-
-    The recursion runs from the last factor f up: its block level, N/f
-    comparators w(j) of arity f, comes first. Then each earlier factor d,
-    with D the product of the factors after it, joins the d blocks of D
-    positions in each of the N/(dD) blocks of dD with D levels of N/d
-    cross comparators v(j, k), k = 0..D-1; a level holds block 0's
-    comparators, then block 1's, ... Every step writes its rows straight
-    into its row range of its group, one contiguous column at a time.
-    """
-    n = math.prod(factors)
-    *steps, f = factors
-    shapes = [(n // f, f)]
-    D = f
-    for d in reversed(steps):
-        shapes += [(n // d, d)] * D
-        D *= d
+def _built(n: int, builder: Builder) -> Network:
+    """The network of _runs(n, builder): every arity group sized from the
+    runs, then each run written straight into its row range of its group."""
+    runs = _runs(n, builder)
+    shapes = []
+    for k, levels, m, _ in runs:
+        shapes += [(m, k)] * levels
     groups = _empty_groups(n, shapes)
-    groups[f][: n // f] = np.arange(n).reshape(n // f, f)
     start = dict.fromkeys(groups, 0)
-    start[f] = n // f
+    for k, levels, m, write in runs:
+        write(groups[k][start[k] : start[k] + levels * m], 0, levels)
+        start[k] += levels * m
+    return _exact(Network._from_groups(n, builder, groups, shapes))
+
+
+def _runs(n: int, builder: Builder) -> list[tuple[int, int, int, Callable]]:
+    """The levels of the builder's network on n >= 2 positions, in order, as
+    runs of levels of one shape: (k, levels, m, write), where
+    write(rows, first, stop) writes levels first..stop-1 of the run, m rows
+    of arity k each, into rows, a column-major ((stop - first) * m, k) array.
+
+    Binary is one run of circle-method rounds. Divisor and prime are the
+    recursion over their factor sequence, whose product is N, run from the
+    last factor f up: its block level, N/f comparators w(j) of arity f,
+    comes first. Then each earlier factor d, with D the product of the
+    factors after it, joins the d blocks of D positions in each of the
+    N/(dD) blocks of dD with D levels of N/d cross comparators v(j, k),
+    k = 0..D-1; a level holds block 0's comparators, then block 1's, ...
+    """
+    if builder == Builder.BINARY:
+        m = n + n % 2  # an odd N gets an idle slot, position m-1
+        c, p = m - 1, m // 2 - 1
+        hub = int(m == n)  # the pair of the hub m-1 and r in round r, dropped for odd N
+        return [(2, c, hub + p, functools.partial(_circle_rounds, c=c, p=p, hub=hub))]
+    if builder == Builder.PRIME:
+        factors = ascending_factorization(n)
+    else:
+        d = smallest_prime_factor(n)
+        factors = [d, n // d] if d < n else [d]
+    *steps, f = factors
+    runs = [(f, 1, n // f, _block_rows)]
     D = f
     for d in reversed(steps):
-        blocks = n // (d * D)
-        rows = groups[d][start[d] : start[d] + D * blocks * D]
-        start[d] += len(rows)
-        # Row (k, b, j) is v(j, k) in block b. Over j, (j + k*i) mod D is
-        # 0..D-1 rotated by k*i mod D: a row of the window view of one
-        # period, gathered instead of computed
-        rotations = sliding_window_view(np.arange(2 * D - 1) % D, D)
-        shift = d * D * np.arange(blocks)[:, None]
-        for i in range(d):
-            column = rows[:, i].reshape(D, blocks, D)  # contiguous, so a view
-            np.add(rotations[np.arange(D) * i % D, None], shift + D * i, out=column)
+        runs.append((d, D, n // d, functools.partial(_cross_rows, n=n, d=d, D=D)))
         D *= d
-    return groups, shapes
+    return runs
 
 
-_BUILDERS = {
-    Builder.BINARY: binary_network,
-    Builder.DIVISOR: divisor_network,
-    Builder.PRIME: prime_network,
-}
+def _block_rows(rows: np.ndarray, first: int, stop: int) -> None:
+    """The block level: row j is w(j), the positions jf..jf+f-1."""
+    rows[...] = np.arange(rows.size).reshape(rows.shape)
+
+
+def _cross_rows(rows: np.ndarray, first: int, stop: int, n: int, d: int, D: int) -> None:
+    """Levels k = first..stop-1 of the cross step of factor d: row (k, b, j)
+    is v(j, k) in block b of dD positions, one contiguous column at a time.
+
+    Over j, (j + k*i) mod D is 0..D-1 rotated by k*i mod D: a row of the
+    window view of one period, gathered instead of computed.
+    """
+    blocks = n // (d * D)
+    period = np.arange(2 * D - 1)
+    period[D:] -= D  # 0..D-1, 0..D-2, without an int64 modulo per element
+    rotations = sliding_window_view(period, D)
+    shift = d * D * np.arange(blocks)[:, None]
+    ks = np.arange(first, stop)
+    for i in range(d):
+        column = rows[:, i].reshape(stop - first, blocks, D)  # contiguous, so a view
+        np.add(rotations[ks * i % D, None], shift + D * i, out=column)
+
+
+def _circle_rounds(rows: np.ndarray, first: int, stop: int, c: int, p: int, hub: int) -> None:
+    """Rounds first..stop-1 of the circle method on c + 1 slots: round r
+    pairs the hub c with r (when hub), and (r+i) mod c with (r-i) mod c for
+    i = 1..p. Both sequences rotate by one per round, so their grids over
+    the rounds are windows over one period, taken without copying.
+    """
+    # each round's lo and hi columns, as (rounds, hub + p) views of the columns of rows
+    lo, hi = (rows[:, i].reshape(stop - first, hub + p) for i in (0, 1))
+    if hub:
+        lo[:, 0] = np.arange(first, stop)
+        hi[:, 0] = c
+    up = sliding_window_view(np.arange(first + 1, stop + p) % c, p)
+    down = sliding_window_view(np.arange(first - p, stop) % c, p)[: stop - first, ::-1]
+    np.minimum(up, down, out=lo[:, hub:])
+    np.maximum(up, down, out=hi[:, hub:])
+
+
+# Most indices one buffer of _steps holds, unless one level holds more.
+# Replaying rounds of the benchmark's sort_cold grid (N = 8 to 1024) in one
+# process, 2**12 took 1.9x as long as 2**17, 2**14 1.15x and 2**18 1.05x;
+# 2**15 to 2**17 were level. Prime N = 16384 took 2.0-2.5 s at 2**14 and
+# 1.4-1.9 s at 2**16 to 2**18.
+_STREAM_INDICES = 2**17
+
+
+def _steps(n: int, builder: Builder):
+    """The comparators of build_network(n, builder), in (R, k) column-major
+    chunks of rows of one arity, without building the network.
+
+    Each arity has one buffer of at most max(_STREAM_INDICES, N) indices,
+    allocated once. The runs of that arity are written into it by the
+    writers the builders use, consecutive levels coalesced across runs and
+    steps, and each full buffer is yielded, so a chunk is overwritten by the
+    next of its arity: use it before asking for the next. A level is never
+    split, and one level of arity k holds N/k rows of k indices. n >= 2.
+    """
+    runs = _runs(n, builder)
+    total: dict[int, int] = {}
+    for k, levels, m, _ in runs:
+        total[k] = total.get(k, 0) + levels * m
+    buffers = {
+        k: np.empty((k, min(t, max(_STREAM_INDICES, n) // k)), dtype=np.int64).T
+        for k, t in total.items()
+    }
+    fill = dict.fromkeys(total, 0)
+    for k, levels, m, write in runs:
+        buf = buffers[k]
+        first = 0
+        while first < levels:
+            if fill[k] + m > len(buf):
+                yield buf[: fill[k]]
+                fill[k] = 0
+            stop = min(levels, first + (len(buf) - fill[k]) // m)
+            write(buf[fill[k] : fill[k] + (stop - first) * m], first, stop)
+            fill[k] += (stop - first) * m
+            first = stop
+    for k, buf in buffers.items():
+        if fill[k]:
+            yield buf[: fill[k]]
 
 
 def build_network(n: int, builder: Builder | str) -> Network:
-    return _BUILDERS[_builder(builder)](n)
+    builder = _builder(builder)
+    return _built(_size(n), builder)
 
 
 # ---------------------------------------------------------------------------
@@ -702,13 +772,14 @@ def _canonical_network(text: str) -> Network | None:
 
     Each level's rows are its count of ':', and its arity is its first row's
     count of ',' plus one. All indices are read by one np.fromstring, which
-    raises ValueError on a token it cannot read, such as 1.5, but reads -1,
-    and saturates 99999999999999999999 to the largest int64. So the network
-    is kept only if it writes text back exactly; then json.loads would have
-    read the same network. None on any other outcome, and on any error.
+    raises ValueError on a token it cannot read, such as 1.5, and saturates
+    99999999999999999999 to the largest int64. So the network is kept only
+    if it writes text back exactly; then json.loads would have read the same
+    network. None on any other outcome, and on any error. Canonical text
+    holds no '-', so text with a negative index is given up before parsing.
     """
     header = _HEADER.match(text)
-    if header is None or not text.endswith("]}"):
+    if header is None or not text.endswith("]}") or "-" in text:
         return None
     start, stop = header.end(), len(text) - 2
     shapes = []

@@ -13,7 +13,7 @@ from ranknet import (
     partial_rank_count,
     total_comparators,
 )
-from ranknet import netbuild
+from ranknet import engine, netbuild, stable_rank
 from ranknet.cli import main
 
 
@@ -111,6 +111,15 @@ class TestSort:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_integer_too_long_to_read(self, capsys, tmp_path):
+        # int() refuses more than 4300 digits; the token was read as inf
+        f = tmp_path / "in.txt"
+        f.write_text("1" + "0" * 5000 + ",1")
+        code, out, err = run(capsys, "sort", "--input", str(f))
+        assert code == 2
+        assert out == ""
+        assert "too long to read" in err and "finite" not in err
+
     def test_workers_option_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sort", "--workers", "2"])
@@ -128,6 +137,30 @@ class TestSort:
             f"sorted: {','.join(map(str, s.tolist()))}\n"
         )
         assert out == expect
+
+
+def test_parser_reused_across_calls(capsys, tmp_path, monkeypatch):
+    # one parser serves every call in the process; no call sees another's arguments
+    calls = []
+    monkeypatch.setattr(engine, "rank", lambda x, algo: calls.append(algo) or stable_rank(x))
+    f = tmp_path / "in.txt"
+    f.write_text("3,1,2")
+    assert run(capsys, "sort", "--algo", "divisor", "--input", str(f)) == (
+        0, "pi: 2,0,1\nsorted: 1,2,3\n", ""
+    )
+    monkeypatch.setattr("sys.stdin", io.StringIO("5 4"))
+    assert run(capsys, "sort") == (0, "pi: 1,0\nsorted: 4,5\n", "")
+    assert calls == ["divisor", "binary"]
+    out = tmp_path / "net.json"
+    assert run(capsys, "export", "--n", "4", "--algo", "prime", "--format", "json",
+               "--out", str(out)) == (0, "", "")
+    assert json.loads(out.read_text())["builder"] == "prime"
+    with pytest.raises(SystemExit) as exc:
+        main(["sort", "--n", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --n 4" in capsys.readouterr().err
+    assert run(capsys, "sort", "--input", str(f))[:2] == (0, "pi: 2,0,1\nsorted: 1,2,3\n")
+    assert calls == ["divisor", "binary", "binary"]
 
 
 class TestSeq:

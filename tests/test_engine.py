@@ -22,6 +22,7 @@ from ranknet import (
     partial_rank_count,
     partial_rank_table,
     prime_network,
+    rank,
     stable_rank,
     table_to_csv,
 )
@@ -103,6 +104,60 @@ class TestExecute:
             results = [execute(net, x, workers=w) for w in (1, 2, 8)]
             assert np.array_equal(results[0], results[1])
             assert np.array_equal(results[0], results[2])
+
+
+class TestRank:
+    # 1 index: one level per chunk; 100: chunks that end inside a run and
+    # hold levels of several runs; the default: one chunk per arity
+    @pytest.mark.parametrize("indices", [1, 100, netbuild._STREAM_INDICES])
+    def test_equals_execute(self, monkeypatch, indices):
+        monkeypatch.setattr(netbuild, "_STREAM_INDICES", indices)
+        rng = np.random.default_rng(indices)
+        assert rank([7], "binary").tolist() == [0]
+        for n in range(2, 129):
+            x = rng.integers(0, max(n // 8, 2), n)  # many ties
+            for builder in Builder:
+                expect = execute(build_network(n, builder), x)
+                got = rank(x, builder)
+                assert got.dtype == expect.dtype and np.array_equal(got, expect), (n, builder)
+
+    def test_chunks_are_the_network(self, monkeypatch):
+        # every comparator of the built network, each once, in chunks of one arity
+        monkeypatch.setattr(netbuild, "_STREAM_INDICES", 100)
+        for n in (2, 9, 12, 30, 64, 105):
+            for builder in Builder:
+                groups = build_network(n, builder).arity_groups()
+                streamed = {}
+                for chunk in netbuild._steps(n, builder):
+                    assert chunk.size <= max(100, n)
+                    streamed.setdefault(chunk.shape[1], []).append(chunk.copy())
+                assert sorted(streamed) == sorted(groups)
+                for k, chunks in streamed.items():
+                    rows = np.concatenate(chunks)
+                    assert sorted(map(tuple, rows.tolist())) == sorted(map(tuple, groups[k].tolist()))
+
+    def test_large_n_against_stable_rank(self):
+        # prime N = 16384 holds about 2**31 bytes of indices, at the group budget
+        x = np.random.default_rng(16384).integers(0, 5000, 16384)
+        assert np.array_equal(rank(x, "prime"), stable_rank(x))
+
+    def test_no_group_is_allocated(self, monkeypatch):
+        # a budget that no group of N = 60 fits stands in for a network too
+        # large to build; the stream never sizes a group
+        monkeypatch.setattr(netbuild, "_CHECK_BYTES", 100)
+        x = np.random.default_rng(60).integers(0, 10, 60)
+        for builder in Builder:
+            with pytest.raises(DimensionError, match="needs"):
+                build_network(60, builder)
+            assert np.array_equal(rank(x, builder), stable_rank(x))
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValidationError):
+            rank([1, 2], "bogus")
+        with pytest.raises(ValidationError):
+            rank([1], "bogus")
+        with pytest.raises(DimensionError):
+            rank([], "prime")
 
 
 @st.composite

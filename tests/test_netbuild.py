@@ -565,6 +565,24 @@ class TestSerialization:
         for text in [*canonical, *perturbed, levels, *INVALID_DOCUMENTS]:
             assert outcome(network_from_json, text) == outcome(netbuild._network_from_doc, text)
 
+    def test_negative_index_skips_fast_path(self, monkeypatch):
+        # canonical text holds no '-': such a document goes to json.loads at
+        # once, before any index is read, and gets the same message
+        text = network_to_json(prime_network(64))
+        for bad in (text.replace("[0, ", "[-1, ", 1), text.replace("63]", "-63]")):
+            with pytest.raises(ValidationError) as raised:
+                netbuild._network_from_doc(bad)
+            assert str(raised.value) == "comparator index out of range [0, 64)"
+
+            def unread(*args, **kwargs):
+                raise AssertionError("the fast path read the indices")
+
+            with monkeypatch.context() as m:
+                m.setattr(netbuild.np, "fromstring", unread)
+                with pytest.raises(ValidationError) as again:
+                    network_from_json(bad)
+            assert str(again.value) == str(raised.value)
+
     @pytest.mark.parametrize(
         "n, builder", [(16, "binary"), (15, "binary"), (12, "divisor"), (30, "prime"), (7, "prime")]
     )
