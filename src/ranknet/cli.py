@@ -23,6 +23,13 @@ __all__ = ["main"]
 
 # a token that int() reads, unless it has more digits than CPython's limit
 _INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
+# a token that float() reads as an infinity by name, not by overflow
+_INFINITY = re.compile(r"[+-]?inf(?:inity)?", re.IGNORECASE)
+
+
+def _shown(token: str) -> str:
+    """token, or its first 20 characters and its length when it is long."""
+    return token if len(token) <= 40 else f"{token[:20]}... of {len(token)} characters"
 
 
 def _parse_numbers(text: str) -> np.ndarray:
@@ -31,7 +38,8 @@ def _parse_numbers(text: str) -> np.ndarray:
     All-integer input that fits 64 bits stays exact. Other input, with a
     decimal token or an integer beyond 64 bits, is read as float64, and an
     integer token that float64 would round is refused, as is one too long
-    for int() to read (more than 4300 digits by default).
+    for int() to read (more than 4300 digits by default) and a decimal
+    token beyond float64's range, such as 1e400.
     """
     tokens = text.replace(",", " ").split()
     try:
@@ -51,13 +59,13 @@ def _parse_numbers(text: str) -> np.ndarray:
                 exact = int(tokens[i]) == float(keys[i])
             except ValueError:
                 if _INTEGER.fullmatch(tokens[i]):
-                    raise InvalidKey(
-                        f"integer {tokens[i][:20]}... of {len(tokens[i])} characters"
-                        " is too long to read"
-                    ) from None
+                    raise InvalidKey(f"integer {_shown(tokens[i])} is too long to read") from None
+                # float() reads a decimal token beyond its range as an infinity
+                if np.isinf(keys[i]) and not _INFINITY.fullmatch(tokens[i]):
+                    raise InvalidKey(f"number {_shown(tokens[i])} is outside float64's range") from None
                 continue  # a decimal token
             if not exact:
-                raise InvalidKey(f"integer {tokens[i]} cannot be held exactly as a float64")
+                raise InvalidKey(f"integer {_shown(tokens[i])} cannot be held exactly as a float64")
     return rankcore.as_keys(keys)
 
 

@@ -22,6 +22,12 @@ not (DimensionError if the check's pair bitmap would exceed its budget).
 network without building it: the network's rows come a chunk at a time from
 netbuild's step generator, and each chunk is added into the accumulator as
 it comes, so memory stays O(N) plus a chunk.
+
+``partial_rank_table`` keeps each level's partial ranks apart, as the rows
+of one (L, N) array. A batch of consecutive levels of one arity goes
+through the same kernel at once: each level's positions are shifted by N
+times its place in the batch, so the batch's rows of the array are one
+accumulator, and the keys are read from x tiled once to a batch's length.
 """
 
 from __future__ import annotations
@@ -34,7 +40,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionError, PermutationError
-from .netbuild import Builder, Network, _builder, _require_valid, _steps
+from . import netbuild
+from .netbuild import Builder, Network, _builder, _level_runs, _require_valid, _steps
 from .rankcore import as_keys
 
 __all__ = [
@@ -136,17 +143,31 @@ class PartialRankTable:
 
 
 def partial_rank_table(net: Network, x) -> PartialRankTable:
-    """One partial-rank column per level, plus their sum (the permutation)."""
+    """One partial-rank column per level, plus their sum (the permutation).
+
+    The columns are row views of one (L, N) array, filled a batch of at
+    most max(1, netbuild._LEVEL_SLOTS // N) consecutive levels of one arity
+    at a time, each batch by one _accumulate.
+    """
     a = _keys(net, x)
-    columns = [
-        (
-            f"L{li}(C{level.arity})",
-            _accumulate(np.zeros(net.n, dtype=np.int64), a, level.indices),
-        )
-        for li, level in enumerate(net.levels)
-    ]
-    total = sum((col for _, col in columns), np.zeros(net.n, dtype=np.int64))
-    return PartialRankTable(net.n, columns, total)
+    n = net.n
+    levels = np.zeros((len(net.levels), n), dtype=np.int64)
+    per = max(1, netbuild._LEVEL_SLOTS // n)
+    tiled = np.tile(a, min(per, len(net.levels)))
+    li = 0
+    for k, first, counts in _level_runs(net):
+        group = net.arity_groups()[k]
+        for at in range(0, len(counts), per):
+            batch = counts[at : at + per]
+            rows = group[first : first + sum(batch)]
+            shift = np.repeat(np.arange(0, len(batch) * n, n), batch)
+            # column-major like rows, so each column stays contiguous
+            idx = (rows.T + shift).T
+            _accumulate(levels[li : li + len(batch)].reshape(-1), tiled[: len(batch) * n], idx)
+            first += len(rows)
+            li += len(batch)
+    columns = [(f"L{i}(C{level.arity})", col) for i, (level, col) in enumerate(zip(net.levels, levels))]
+    return PartialRankTable(n, columns, levels.sum(axis=0))
 
 
 def table_to_csv(table: PartialRankTable, x=None) -> str:

@@ -40,6 +40,7 @@ engine adds them into a global accumulator.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
@@ -204,6 +205,18 @@ def _row_ranges(groups: dict[int, np.ndarray], shapes):
     for m, k in shapes:
         yield groups[k][start[k] : start[k] + m]
         start[k] += m
+
+
+def _level_runs(net: Network):
+    """The levels of net in order, as maximal runs of consecutive levels of
+    one arity k: (k, the run's first row in the arity-k group, the row
+    counts of its levels). A run's rows are consecutive in its group."""
+    start = dict.fromkeys(net.arity_groups(), 0)
+    shapes = (level.indices.shape for level in net.levels)
+    for k, run in itertools.groupby(shapes, key=operator.itemgetter(1)):
+        counts = [m for m, _ in run]
+        yield k, start[k], counts
+        start[k] += sum(counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -568,7 +581,11 @@ def validate_network(net: Network) -> ValidationReport:
     return ValidationReport(not v, v)
 
 
-# Most slots, levels times span, one bitmap of _level_violations takes
+# Most slots one batch takes: levels times span in a bitmap of
+# _level_violations, levels times N in engine.partial_rank_table, and
+# indices in a batch of network_to_json. Formatting binary N = 512 at 2**12
+# to 2**17 indices a batch took the same time; from 2**17 on, a batch's
+# temporaries outgrew the text and raised its peak memory.
 _LEVEL_SLOTS = 2**16
 
 
@@ -736,19 +753,109 @@ def _require_valid(net: Network, violations: list[str] | None = None) -> Network
 # serialization
 
 
-def _level_json(idx: np.ndarray) -> str:
-    m, k = idx.shape
-    row = '{"indices": [' + ", ".join(["%d"] * k) + "]}"
-    return "[" + ", ".join([row] * m) % tuple(idx.ravel().tolist()) + "]"
+def _unit(text: bytes, at: int = 0) -> int:
+    """The uint64 whose 8 bytes in memory are text from byte at on, NUL elsewhere."""
+    return int(np.frombuffer(bytes(at) + text + bytes(8 - at - len(text)), dtype=np.uint64)[0])
+
+
+def _digit_table() -> np.ndarray:
+    """The 3-digit chunks v = 0..999 as uint64 units, flat, indexed
+    [slot, kind, separator, v]: the chunk right-aligned in bytes 0-2 (slot 0)
+    or 3-5 (slot 1), NUL-padded, written blank for 0 (kind 0), as the
+    number v (kind 1) or with leading zeros (kind 2), and followed by
+    nothing, ', ' or ']}' (separator 0, 1, 2)."""
+    number = b"".join(b"%3d" % v for v in range(1000)).replace(b" ", b"\0")
+    padded = b"".join(b"%03d" % v for v in range(1000))
+    table = np.zeros((2, 3, 3, 1000, 8), dtype=np.uint8)
+    for kind, text in enumerate((bytes(3) + number[3:], number, padded)):
+        digits = np.frombuffer(text, dtype=np.uint8).reshape(1000, 3)
+        for slot in (0, 1):
+            for separator, after in enumerate((b"", b", ", b"]}")):
+                unit = table[slot, kind, separator]
+                unit[:, 3 * slot : 3 * slot + 3] = digits
+                unit[:, 3 * slot + 3 : 3 * slot + 3 + len(after)] = np.frombuffer(after, np.uint8)
+    return table.view(np.uint64).reshape(-1)
+
+
+_DIGITS = _digit_table()
+# the units a row starts with: its leader (", " between the rows of a level,
+# "], [" where a level begins, "[" at the network's first row), then '{"indices": ['
+_COMMA, _BREAK, _OPEN = _unit(b", "), _unit(b"], ["), _unit(b"[")
+_PREFIX = _unit(b'{"indice'), _unit(b's": [')
+
+
+def _fields(fields: np.ndarray, values: np.ndarray, chunks: int) -> None:
+    """Write values (m, k) into fields (m, k, F) in decimal: chunks 3-digit
+    chunks, two to a unit from the most significant, NUL for leading zeros,
+    and the last chunk followed by ', ', or by ']}' in a row's last field."""
+    k = values.shape[1]
+    separator = np.full(k, 1000)
+    separator[-1] = 2000
+    rest = values
+    for top in range(chunks):
+        unit, slot = divmod(top, 2)
+        scale = 1000 ** (chunks - 1 - top)
+        chunk = rest
+        if scale > 1:
+            chunk, rest = np.divmod(rest, scale)
+        # the first chunk has no leading zeros; a later one has them below a
+        # nonzero chunk, and is blank above it unless it is the last
+        kind = int(chunks == 1) if top == 0 else np.where(values >= 1000 * scale, 2, int(scale == 1))
+        code = chunk + (9000 * slot + 3000 * kind + (separator if scale == 1 else 0))
+        if slot == 0:
+            fields[:, :, unit] = _DIGITS[code]
+        else:
+            fields[:, :, unit] |= _DIGITS[code]
+
+
+def _rows_json(rows: np.ndarray, starts: list[int], first: bool) -> str:
+    """The text of rows (m, k), consecutive rows of one arity group in level
+    order, each with its leader: starts are the rows that begin a level, and
+    first marks rows[0] as the network's first row.
+
+    Each row is laid out as uint64 units: its leader, the prefix, then k
+    fixed-width fields of digits and ', ' or ']}', NUL-padded; one translate
+    deletes the padding.
+    """
+    m, k = rows.shape
+    # rows increase, so the largest index is in the last column
+    chunks = (len(str(int(rows[:, -1].max()))) + 2) // 3
+    units = (chunks + 1) // 2
+    out = np.empty((m, 3 + k * units), dtype=np.uint64)
+    out[:, 0] = _COMMA
+    out[starts, 0] = _BREAK
+    if first:
+        out[0, 0] = _OPEN
+    out[:, 1], out[:, 2] = _PREFIX
+    _fields(out[:, 3:].reshape(m, k, units), rows, chunks)
+    return out.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _row_batches(net: Network):
+    """The rows of net in level order, as (rows, starts): rows are at most
+    max(1, _LEVEL_SLOTS // k) consecutive rows of one run of _level_runs,
+    and starts the rows of rows that begin a level. A batch may end inside
+    a level."""
+    for k, begin, counts in _level_runs(net):
+        firsts = list(itertools.accumulate(counts[:-1], initial=begin))
+        stop = begin + sum(counts)
+        per = max(1, _LEVEL_SLOTS // k)
+        for a in range(begin, stop, per):
+            b = min(a + per, stop)
+            lo, hi = bisect.bisect_left(firsts, a), bisect.bisect_left(firsts, b)
+            yield net.arity_groups()[k][a:b], [f - a for f in firsts[lo:hi]]
 
 
 def network_to_json(net: Network) -> str:
     """The network document, byte for byte as json.dumps writes it:
     ``{"n": N, "builder": name, "levels": [[{"indices": [...]}, ...], ...]}``.
 
-    Raises DimensionError, before formatting any level, when a bound on the
-    text's bytes from the group shapes exceeds the 2**31-byte budget that
-    bounds the checks (binary N above 11770).
+    Rows are formatted by numpy, at most _LEVEL_SLOTS indices at a time,
+    from a table of 3-digit chunks, so memory follows the indices written
+    and not the largest position N names. Raises DimensionError, before
+    formatting any level, when a bound on the text's bytes from the group
+    shapes exceeds the 2**31-byte budget that bounds the checks (binary N
+    above 11770).
     """
     head = f'{{"n": {net.n}, "builder": {json.dumps(net.builder.value)}, "levels": ['
     # a row is '{"indices": [' and ']}, ' around its k indices, each of at
@@ -756,8 +863,11 @@ def network_to_json(net: Network) -> str:
     digits = len(str(net.n - 1))
     rows = sum(len(g) * (17 + k * (digits + 2)) for k, g in net.arity_groups().items())
     _within_budget(len(head) + rows + 4 * len(net.levels) + 2, net.n)
-    levels = ", ".join(_level_json(level.indices) for level in net.levels)
-    return f"{head}{levels}]}}"
+    pieces = [head]
+    for batch, starts in _row_batches(net):
+        pieces.append(_rows_json(batch, starts, len(pieces) == 1))
+    pieces.append("]]}" if net.levels else "]}")
+    return "".join(pieces)
 
 
 # The header network_to_json writes, and the text between two of its levels

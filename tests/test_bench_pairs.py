@@ -72,3 +72,34 @@ def test_judge_applies_the_gain_rule(change, wins, holds):
     lower = dict(higher, better="lower")
     flipped = bench_pairs.summarize(lower, [-v for v in PARENT], [-v for v in change])
     assert bench_pairs.judge("w", "m", flipped)["holds"] is holds
+
+
+BOUNDED = {
+    "keys_per_s": {"unit": "1/s", "better": "higher", "bound": 0.25},
+    "peak_rss_mb": {"unit": "MB", "better": "lower", "bound": 0.1},
+}
+RUNS = {"parent": [100] * 10, "change": [100] * 10}
+
+
+@pytest.mark.parametrize(
+    "keys, rss, failed, found",
+    [
+        ([80.0] * 10, [10.5] * 10, [0] * 10, []),  # 20% and 5% worse: within both bounds
+        ([70.0] * 10, [10.0] * 10, [0] * 10, ["keys_per_s"]),  # 30% fewer keys
+        ([130.0] * 10, [11.5] * 10, [0] * 10, ["peak_rss_mb"]),  # 15% more memory
+        ([70.0] * 5 + [130.0] * 5, [10.0] * 10, [0] * 10, []),  # the median reads 100
+        ([100.0] * 10, [10.0] * 10, [0] * 9 + [1], ["failed_share"]),  # 1 in 1000 failed
+        ([60.0] * 10, [12.0] * 10, [1] * 10, ["keys_per_s", "peak_rss_mb", "failed_share"]),
+    ],
+)
+def test_regressions_apply_the_bound_rule(keys, rss, failed, found):
+    parent_keys, parent_rss = [100.0] * 10, [10.0] * 10
+    summaries = {
+        "keys_per_s": bench_pairs.summarize(BOUNDED["keys_per_s"], parent_keys, keys),
+        "peak_rss_mb": bench_pairs.summarize(BOUNDED["peak_rss_mb"], parent_rss, rss),
+    }
+    fails = {"parent": [0] * 10, "change": failed}
+    assert bench_pairs.regressions(BOUNDED, summaries, RUNS, fails) == found
+    # a parent that failed as often leaves the share alone
+    same = {"parent": failed, "change": failed}
+    assert "failed_share" not in bench_pairs.regressions(BOUNDED, summaries, RUNS, same)

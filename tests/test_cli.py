@@ -120,6 +120,35 @@ class TestSort:
         assert out == ""
         assert "too long to read" in err and "finite" not in err
 
+    @pytest.mark.parametrize("token", ["1e400", "-1e400"])
+    def test_decimal_beyond_float64(self, capsys, tmp_path, token):
+        # float() reads the token as an infinity; the message named no token
+        f = tmp_path / "in.txt"
+        f.write_text(f"1,{token},2")
+        code, out, err = run(capsys, "sort", "--input", str(f))
+        assert code == 2
+        assert out == ""
+        assert f"number {token} is outside float64's range" in err and "finite" not in err
+
+    def test_long_inexact_integer_is_shortened(self, capsys, tmp_path):
+        # 401 digits: int() reads it, float64 overflows; the message held all 401
+        f = tmp_path / "in.txt"
+        f.write_text("1" + "0" * 400 + ",1")
+        code, out, err = run(capsys, "sort", "--input", str(f))
+        assert code == 2
+        assert out == ""
+        assert "... of 401 characters cannot be held exactly as a float64" in err
+        assert len(err) < 200
+
+    @pytest.mark.parametrize("token", ["inf", "-Infinity", "nan"])
+    def test_named_infinity_keeps_its_message(self, capsys, tmp_path, token):
+        f = tmp_path / "in.txt"
+        f.write_text(f"1,{token},2")
+        code, out, err = run(capsys, "sort", "--input", str(f))
+        assert code == 2
+        assert out == ""
+        assert "keys must be finite (no NaN or infinity)" in err
+
     def test_workers_option_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sort", "--workers", "2"])

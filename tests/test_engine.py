@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ranknet import netbuild
+from ranknet import engine, netbuild
 from ranknet import (
     Builder,
     Comparator,
@@ -270,6 +270,32 @@ class TestPartialRankTable:
         for x in ([4, 2, 2, 9, 0], [1, 1, 1, 1, 1], [3, 0, 7, 7, -2]):
             table = partial_rank_table(net, x)
             assert table.total.tolist() == execute(net, x).tolist() == stable_rank(x).tolist()
+
+    @pytest.mark.parametrize("slots", [1, 100, 2**16])
+    def test_batched_columns_match_each_level(self, monkeypatch, slots):
+        # slots 1 takes one level a batch; 100 a few levels of N <= 50; the
+        # default all of a run of levels for these N
+        monkeypatch.setattr(netbuild, "_LEVEL_SLOTS", slots)
+        rng = np.random.default_rng(7)
+        nets = [build_network(n, b) for n in range(2, 65) for b in Builder]
+        nets += [
+            # the overlapping-level networks above
+            Network(3, [[(0, 1), (0, 2)], [(1, 2)]], Builder.BINARY),
+            Network(5, [[(0, 1, 2), (0, 3, 4)], [(1, 3), (2, 4)], [(1, 4), (2, 3)]], "prime"),
+            # a 6-ary level, ranked by argsort and np.add.at, among pair levels
+            Network(8, [[(0, 6), (1, 7)], [(1, 6), (0, 7)], [(0, 1, 2, 3, 4, 5)], [(2, 6), (3, 7)],
+                        [(3, 6), (2, 7)], [(4, 6), (5, 7)], [(5, 6), (4, 7)], [(6, 7)]], "binary"),
+        ]
+        for net in nets:
+            x = rng.integers(0, 4, net.n)
+            table = partial_rank_table(net, x)
+            assert [label for label, _ in table.columns] == [
+                f"L{li}(C{level.arity})" for li, level in enumerate(net.levels)
+            ]
+            for (_, col), level in zip(table.columns, net.levels):
+                expected = engine._accumulate(np.zeros(net.n, dtype=np.int64), x, level.indices)
+                assert col.tolist() == expected.tolist(), (net.n, net.builder)
+            assert table.total.tolist() == stable_rank(x).tolist()
 
     def test_csv_layout(self):
         table = partial_rank_table(divisor_network(8), TABLE1_X)

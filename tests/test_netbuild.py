@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -78,6 +79,27 @@ INVALID_DOCUMENTS = [
     '{"n": 2, "builder": "binary", "levels": [[[0, 1]]]}',
     '{"n": 2, "builder": "binary"}',
     "[]",
+]
+
+
+def dumped(net):
+    """The network document as json.dumps writes it."""
+    levels = [[{"indices": row} for row in level.indices.tolist()] for level in net.levels]
+    return json.dumps({"n": net.n, "builder": net.builder.value, "levels": levels})
+
+
+# every width of index the writer lays out: each count of digits up to 10,
+# the ends of each 3-digit chunk, and zero chunks between nonzero ones
+WIDE = [0, 7, 10, 99, 100, 999, 1000, 1001, 10000, 100000, 999999, 1000000, 1000001,
+        10**7, 10**8, 999999999, 10**9, 1000000007, 2**32 - 1]
+WRITER_NETWORKS = [
+    Network(1, [], "binary"),
+    # positions of every width, one comparator of 19 and one-row levels
+    Network(2**32, [[WIDE], [(5, 2**32 - 1)], [(0, 1000), (1001, 10**9)]], "binary"),
+    # arities interleaved in level order, levels of one row among longer ones
+    Network(12, [[(0, 1), (2, 3), (4, 5)], [(0, 1, 2)], [(6, 7)], [(3, 4, 5), (6, 7, 8)],
+                 [(9, 10)], [(1, 2), (3, 4), (9, 11)], [(0, 2, 4, 6, 8, 10)]], "prime"),
+    Network(2000, [[(998, 999, 1000, 1999)], [(0, 1)], [(10, 1998), (1000, 1001)]], "divisor"),
 ]
 
 
@@ -599,6 +621,47 @@ class TestSerialization:
         assert len(text) <= bound <= 2 * len(text)
         monkeypatch.setattr(netbuild, "_CHECK_BYTES", bound)
         assert network_to_json(net) == text
+
+    @pytest.mark.parametrize("slots", [1, 5, 2**16])
+    def test_json_matches_json_dumps(self, monkeypatch, slots):
+        # slots 1 writes a row a batch, 5 two rows of two: batches that end
+        # inside a level, and batches that hold several one-row levels
+        monkeypatch.setattr(netbuild, "_LEVEL_SLOTS", slots)
+        built = [build_network(n, b) for n in (2, 3, 12, 30, 64) for b in Builder]
+        for net in WRITER_NETWORKS + built:
+            assert network_to_json(net) == dumped(net), (net.n, net.builder)
+        batches = list(netbuild._row_batches(WRITER_NETWORKS[2]))
+        assert any(0 not in starts for _, starts in batches) is (slots < 2**16)
+        assert any(len(starts) > 1 for _, starts in batches) is (slots > 1)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_json_of_hand_built_networks(self, data):
+        n = data.draw(st.sampled_from([2, 9, 1001, 10**6 + 1, 2**32]))
+        index = st.one_of(st.integers(0, min(n, 1100) - 1), st.integers(0, n - 1))
+        levels = []
+        for _ in range(data.draw(st.integers(0, 6))):
+            k = data.draw(st.integers(2, min(n, 7)))
+            row = st.lists(index, min_size=k, max_size=k, unique=True).map(sorted)
+            levels.append(data.draw(st.lists(row, min_size=1, max_size=4)))
+        net = Network(n, levels, data.draw(st.sampled_from(Builder)))
+        with pytest.MonkeyPatch.context() as mp:
+            for slots in (2**16, 3):
+                mp.setattr(netbuild, "_LEVEL_SLOTS", slots)
+                assert network_to_json(net) == dumped(net)
+
+    def test_json_memory_follows_the_indices(self):
+        # the digits come from a table of 1000 chunks, not from one sized by
+        # the largest position named
+        net = WRITER_NETWORKS[1]
+        tracemalloc.start()
+        try:
+            text = network_to_json(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == dumped(net)
+        assert peak < 2**20
 
     def test_json_matches_pinned_layout(self):
         pinned = json.loads(

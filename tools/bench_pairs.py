@@ -19,6 +19,12 @@ summary records its pairs won and whether the gain rule holds: at least 9
 in 10 pairs won, and a median gain larger than the parent's interquartile
 range.
 
+Each workload's summary also lists its ``regressions``: every end-to-end
+metric whose change median is worse than the parent's by more than the
+metric's ``bound`` in the parent's BENCHMARK.json, a fraction of the
+parent's median, and ``failed_share`` when a larger share of the change's
+operations failed.
+
 Of the working tree, only the git repository is read. Written into it are
 the summary, BENCH_<number>.json at the root, and every run's last output
 line, appended to the ignored ``perfbench/out/bench-pairs-<number>.jsonl``.
@@ -140,6 +146,25 @@ def judge(workload: str, metric: str, s: dict) -> dict:
             "holds": 10 * s["change_wins"] >= 9 * pairs and gain > s["parent_iqr"]}
 
 
+def regressions(metrics: dict, summaries: dict, attempted: dict, failed: dict) -> list:
+    """The names of the end-to-end metrics, of metrics, whose summaries
+    (summarize results) read worse on the change side by more than their
+    bound, a fraction of the parent's median; then "failed_share" when the
+    change failed a larger share of its attempted operations. attempted
+    and failed map each side to its runs' counts."""
+    out = []
+    for name, metric in metrics.items():
+        s = summaries[name]
+        sign = 1 if metric["better"] == "higher" else -1
+        loss = sign * (s["parent"]["median"] - s["change"]["median"])
+        if loss > metric["bound"] * abs(s["parent"]["median"]):
+            out.append(name)
+    share = {side: sum(failed[side]) / max(1, sum(attempted[side])) for side in ("parent", "change")}
+    if share["change"] > share["parent"]:
+        out.append("failed_share")
+    return out
+
+
 def host() -> dict:
     numpy = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
                            capture_output=True, text=True).stdout.strip()
@@ -170,17 +195,21 @@ def main(argv=None) -> int:
                     with open(os.path.join(log_dir, f"bench-pairs-{args.number}.jsonl"), "a") as fh:
                         fh.write(json.dumps(dict(result, workload=workload, seed=seed,
                                                  side=side)) + "\n")
+            attempted = {s: [r["attempted"] for r in results[s]] for s in results}
+            failed = {s: [r["failed"] for r in results[s]] for s in results}
+            summaries = {
+                name: summarize(metric, *([r["metrics"][name]["value"] for r in results[s]]
+                                          for s in ("parent", "change")))
+                for name, metric in metrics.items()
+            }
             workloads[workload] = {
                 "seeds": seeds,
                 "pairs": pairs,
-                "attempted": {s: [r["attempted"] for r in results[s]] for s in results},
-                "failed": {s: [r["failed"] for r in results[s]] for s in results},
+                "attempted": attempted,
+                "failed": failed,
                 "correct": all(r["correct"] for s in results for r in results[s]),
-                "metrics": {
-                    name: summarize(metric, *([r["metrics"][name]["value"] for r in results[s]]
-                                              for s in ("parent", "change")))
-                    for name, metric in metrics.items()
-                },
+                "regressions": regressions(metrics, summaries, attempted, failed),
+                "metrics": summaries,
             }
     claim = None
     if args.claim:
