@@ -4,12 +4,16 @@ Each comparator computes the stable ranks of its slice of the input and the
 engine adds them into a global integer accumulator, one arity at a time,
 reading the per-arity index arrays that every network lays out when it is
 made. These are column-major, so each index column is one contiguous array.
-A comparator of arity k <= 5 adds, for each of its k(k-1)/2 column pairs,
-one to the position that wins the pair (the larger key, or the later
-position on a tie), so an input's rank is the number of pairs it wins; it
-takes a group's rows in batches, small enough for its temporaries to stay
-in cache. A wider one ranks each row with a stable argsort and scatters the
-integer ranks with ``np.add.at``. Nothing on the rank path is a float. Integer
+A batch of comparators takes one of two routes, each a fixed handful of
+numpy calls. Many rows of arity k <= 5 add, for each of their k(k-1)/2
+column pairs, one to the position that wins the pair (the larger key, or
+the later position on a tie), so an input's rank is the number of pairs it
+wins; rows are taken in batches small enough for the temporaries to stay
+in cache. Wider rows, and a batch of few rows of any arity, are ranked by
+one stable argsort per row, whose inverse permutation (a second argsort)
+gives each row's ranks, scattered with ``np.add.at``. A pair pass costs
+about as much as a whole sort of a few rows, so counting pair wins pays
+only over many rows. Nothing on the rank path is a float. Integer
 addition is associative and commutative, so the result does not depend on
 the order in which comparators are evaluated.
 
@@ -67,24 +71,32 @@ _PAIR_WIN_MAX_ARITY = 5
 # execute took 2-2.5x as long as with the threshold raised.
 _PAIR_WIN_ROWS = 8192
 
+# Rows below which a batch of any arity is ranked by sorting. A pair pass
+# costs about 4 us at any row count, and a sort of a few rows about as
+# much: two 5-ary rows took 34 us by pair wins and 4.2 us sorted, 324
+# ternary rows 17 and 27 us. Geometric mean over the sizes of the
+# benchmark's grids of each size's median time, against no threshold, at
+# 16/32/64/128 rows: rank on sort_cold 0.960/0.955/0.959/0.975, execute on
+# execute_warm 0.932/0.912/0.911/0.943 (2-core host).
+_SORT_ROWS = 32
+
 
 def _accumulate(acc: np.ndarray, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Add the stable local ranks of the comparators idx (m, k) into acc."""
-    k = idx.shape[1]
-    if k <= _PAIR_WIN_MAX_ARITY:
-        for start in range(0, len(idx), _PAIR_WIN_ROWS):
-            rows = idx[start : start + _PAIR_WIN_ROWS]
-            # lo wins only when strictly greater: a tie goes to hi, the later position
-            for i, j in combinations(range(k), 2):
-                lo, hi = rows[:, i], rows[:, j]
-                acc += np.bincount(hi - (x[lo] > x[hi]) * (hi - lo), minlength=acc.size)
-    else:
-        order = np.argsort(x[idx], axis=1, kind="stable")
-        ranks = np.empty(idx.shape, dtype=np.int64)
-        np.put_along_axis(ranks, order, np.arange(k, dtype=np.int64), axis=1)
+    m, k = idx.shape
+    if k > _PAIR_WIN_MAX_ARITY or m < _SORT_ROWS:
+        # a row's ranks are the inverse of its stable order
+        ranks = np.argsort(x[idx], axis=1, kind="stable").argsort(axis=1)
         # 1-D and of equal length: numpy 2.4's add.at reads values it must
         # broadcast over 2-D indices out of bounds, and is slower on 2-D
         np.add.at(acc, idx.ravel(), ranks.ravel())
+        return acc
+    for start in range(0, m, _PAIR_WIN_ROWS):
+        rows = idx[start : start + _PAIR_WIN_ROWS]
+        # lo wins only when strictly greater: a tie goes to hi, the later position
+        for i, j in combinations(range(k), 2):
+            lo, hi = rows[:, i], rows[:, j]
+            acc += np.bincount(hi - (x[lo] > x[hi]) * (hi - lo), minlength=acc.size)
     return acc
 
 

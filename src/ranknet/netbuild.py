@@ -5,8 +5,8 @@ array: m comparators of arity k, one strictly increasing row of global
 indices each. A network holds one read-only column-major (M, k) array per
 arity k, the layout the engine executes, and its levels are consecutive row
 ranges of these arrays. The builders size every such array from the factor
-sequence, then write it once, one contiguous column at a time, in closed
-form from the two index vectors
+sequence, then write it once, a run of levels per fixed handful of numpy
+calls, in closed form from the two index vectors
 
     w(j)      = [jD, jD+1, ..., jD+D-1]
     v(j, k)_i = (j + k*i) mod D + D*i,    i = 0..d-1
@@ -53,7 +53,6 @@ from enum import Enum
 from types import MappingProxyType
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, DomainError, RankNetError, ValidationError
 
@@ -461,41 +460,53 @@ def _runs(n: int, builder: Builder) -> list[tuple[int, int, int, Callable]]:
 
 
 def _block_rows(rows: np.ndarray, first: int, stop: int) -> None:
-    """The block level: row j is w(j), the positions jf..jf+f-1."""
+    """The block level: row j is w(j), the positions jf..jf+f-1. Its one
+    temporary holds the level's N indices: a broadcast add straight into the
+    columns measured 2-3x slower on a row or two."""
     rows[...] = np.arange(rows.size).reshape(rows.shape)
 
 
 def _cross_rows(rows: np.ndarray, first: int, stop: int, n: int, d: int, D: int) -> None:
     """Levels k = first..stop-1 of the cross step of factor d: row (k, b, j)
-    is v(j, k) in block b of dD positions, one contiguous column at a time.
+    is v(j, k) in block b of dD positions.
 
-    Over j, (j + k*i) mod D is 0..D-1 rotated by k*i mod D: a row of the
-    window view of one period, gathered instead of computed.
+    Over j, (j + k*i) mod D is D consecutive values of t mod D from t = k*i
+    on, so column i of the run is one strided view of one period, with
+    stride i over the levels, plus the block offsets: one ufunc call per
+    column, written straight into it, and no temporary larger than d*D
+    indices. One call for all d columns would need the rotations gathered
+    first, since the stride over the levels differs per column; for d = 2
+    and 3 that measured 1.2-2.3x slower.
     """
-    blocks = n // (d * D)
-    period = np.arange(2 * D - 1)
-    period[D:] -= D  # 0..D-1, 0..D-2, without an int64 modulo per element
-    rotations = sliding_window_view(period, D)
-    shift = d * D * np.arange(blocks)[:, None]
-    ks = np.arange(first, stop)
+    levels, blocks = stop - first, n // (d * D)
+    period = np.arange((stop - 1) * (d - 1) + D)
+    period %= D
+    shift = np.arange(0, n, d * D)[:, None]
+    # contiguous columns, so each is a (levels, blocks, D) view
+    columns = rows.T.reshape(d, levels, blocks, D)
     for i in range(d):
-        column = rows[:, i].reshape(stop - first, blocks, D)  # contiguous, so a view
-        np.add(rotations[ks * i % D, None], shift + D * i, out=column)
+        # a strided view, in bytes: a fraction of sliding_window_view's cost
+        window = np.ndarray((levels, 1, D), np.int64, period, 8 * first * i, (8 * i, 0, 8))
+        np.add(window, shift + D * i, out=columns[i])
 
 
 def _circle_rounds(rows: np.ndarray, first: int, stop: int, c: int, p: int, hub: int) -> None:
     """Rounds first..stop-1 of the circle method on c + 1 slots: round r
     pairs the hub c with r (when hub), and (r+i) mod c with (r-i) mod c for
-    i = 1..p. Both sequences rotate by one per round, so their grids over
-    the rounds are windows over one period, taken without copying.
+    i = 1..p. Both sequences are windows over one period, r - p .. r + p
+    mod c, moving by one per round: two strided views of it, whose
+    minimum and maximum are written straight into the lo and hi columns.
     """
     # each round's lo and hi columns, as (rounds, hub + p) views of the columns of rows
     lo, hi = (rows[:, i].reshape(stop - first, hub + p) for i in (0, 1))
     if hub:
         lo[:, 0] = np.arange(first, stop)
         hi[:, 0] = c
-    up = sliding_window_view(np.arange(first + 1, stop + p) % c, p)
-    down = sliding_window_view(np.arange(first - p, stop) % c, p)[: stop - first, ::-1]
+    period = np.arange(first - p, stop + p)
+    period %= c
+    # strided views, in bytes; for p = 0 (N < 4) both are empty
+    up = np.ndarray((stop - first, p), np.int64, period, 8 * (p + 1), (8, 8))
+    down = np.ndarray((stop - first, p), np.int64, period, 8 * max(p - 1, 0), (8, -8))
     np.minimum(up, down, out=lo[:, hub:])
     np.maximum(up, down, out=hi[:, hub:])
 
@@ -873,20 +884,23 @@ def network_to_json(net: Network) -> str:
 # The header network_to_json writes, and the text between two of its levels
 _HEADER = re.compile(r'\{"n": ([1-9][0-9]*), "builder": "([a-z]+)", "levels": \[')
 _LEVEL_BREAK = "}], [{"
-# every character of the levels but digits, spaces and minus signs
-_TO_SPACES = str.maketrans(dict.fromkeys('{}[]":,indces', " "))
+# every byte of canonical levels but digits and spaces
+_PUNCTUATION = b'{}[]":,indces'
 
 
 def _canonical_network(text: str) -> Network | None:
     """The network whose network_to_json is text, byte for byte, or None.
 
     Each level's rows are its count of ':', and its arity is its first row's
-    count of ',' plus one. All indices are read by one np.fromstring, which
-    raises ValueError on a token it cannot read, such as 1.5, and saturates
-    99999999999999999999 to the largest int64. So the network is kept only
-    if it writes text back exactly; then json.loads would have read the same
-    network. None on any other outcome, and on any error. Canonical text
-    holds no '-', so text with a negative index is given up before parsing.
+    count of ',' plus one. The levels are encoded to ASCII, their punctuation
+    deleted by one bytes.translate, and all indices read from the digits and
+    spaces left by one np.fromstring, which raises ValueError on a token it
+    cannot read, such as 1.5, and saturates 99999999999999999999 to the
+    largest int64. So the network is kept only if it writes text back
+    exactly; then json.loads would have read the same network. None on any
+    other outcome, and on any error, text that is not ASCII included.
+    Canonical text holds no '-', so text with a negative index is given up
+    before parsing.
     """
     header = _HEADER.match(text)
     if header is None or not text.endswith("]}") or "-" in text:
@@ -905,7 +919,9 @@ def _canonical_network(text: str) -> Network | None:
         shapes.append((text.count(":", begin, end), text.count(",", begin, row) + 1))
         begin = end + len(_LEVEL_BREAK)
     try:
-        values = np.fromstring(text[start:stop].translate(_TO_SPACES), dtype=np.int64, sep=" ")
+        # text that is not ASCII raises UnicodeEncodeError, a ValueError
+        digits = text[start:stop].encode("ascii").translate(None, _PUNCTUATION)
+        values = np.fromstring(digits, dtype=np.int64, sep=" ")
         # a level of no rows writes back as [], but Network refuses it
         if min((m for m, _ in shapes), default=1) < 1 or sum(m * k for m, k in shapes) != values.size:
             return None

@@ -1,6 +1,7 @@
 """The pair runner: numpy's linear percentiles, win counts and the claim's checks."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -103,3 +104,22 @@ def test_regressions_apply_the_bound_rule(keys, rss, failed, found):
     # a parent that failed as often leaves the share alone
     same = {"parent": failed, "change": failed}
     assert "failed_share" not in bench_pairs.regressions(BOUNDED, summaries, RUNS, same)
+
+
+def test_per_size_reads_raw_walls_from_the_result_file(tmp_path):
+    out = tmp_path / "perfbench" / "out"
+    out.mkdir(parents=True)
+    # (round, n, builder, wall s, cpu s, probe passes before it), two parts
+    parts = [
+        {"records": [[0, 9, "binary", 0.001, 0.001, 0], [0, 12, "prime", 0.004, 0.004, 0]]},
+        {"records": [[0, 9, "binary", 0.003, 0.002, 1], [1, 9, "binary", 0.002, 0.002, 1]]},
+    ]
+    (out / "result-sort_cold-seed5-trace0.json").write_text(json.dumps({"parts": parts}))
+    walls = bench_pairs.walls(str(tmp_path), "sort_cold", 5)
+    assert walls == {9: pytest.approx([1.0, 3.0, 2.0]), 12: pytest.approx([4.0])}
+    sides = {"parent": walls, "change": {9: [1.0, 0.5], 30: [7.0]}}
+    assert bench_pairs.per_size(sides) == {
+        "9": {"parent": 2.0, "change": 0.75},
+        "12": {"parent": 4.0, "change": None},
+        "30": {"parent": None, "change": 7.0},
+    }

@@ -122,19 +122,21 @@ class TestRank:
                 assert got.dtype == expect.dtype and np.array_equal(got, expect), (n, builder)
 
     def test_chunks_are_the_network(self, monkeypatch):
-        # every comparator of the built network, each once, in chunks of one arity
-        monkeypatch.setattr(netbuild, "_STREAM_INDICES", 100)
-        for n in (2, 9, 12, 30, 64, 105):
-            for builder in Builder:
-                groups = build_network(n, builder).arity_groups()
-                streamed = {}
-                for chunk in netbuild._steps(n, builder):
-                    assert chunk.size <= max(100, n)
-                    streamed.setdefault(chunk.shape[1], []).append(chunk.copy())
-                assert sorted(streamed) == sorted(groups)
-                for k, chunks in streamed.items():
-                    rows = np.concatenate(chunks)
-                    assert sorted(map(tuple, rows.tolist())) == sorted(map(tuple, groups[k].tolist()))
+        # every comparator of the built network, in chunks of one arity; in
+        # order, so each arity's chunks make up its group. 1 index: one level
+        # per chunk; 81, 243, 576 and 972 hold many blocks of small D
+        for indices in (1, 100):
+            monkeypatch.setattr(netbuild, "_STREAM_INDICES", indices)
+            for n in (2, 9, 12, 30, 64, 81, 105, 243, 576, 972):
+                for builder in Builder:
+                    groups = build_network(n, builder).arity_groups()
+                    streamed = {}
+                    for chunk in netbuild._steps(n, builder):
+                        assert chunk.size <= max(indices, n)
+                        streamed.setdefault(chunk.shape[1], []).append(chunk.copy())
+                    assert sorted(streamed) == sorted(groups)
+                    for k, chunks in streamed.items():
+                        assert np.array_equal(np.concatenate(chunks), groups[k]), (indices, n, builder, k)
 
     def test_large_n_against_stable_rank(self):
         # prime N = 16384 holds about 2**31 bytes of indices, at the group budget
@@ -158,6 +160,26 @@ class TestRank:
             rank([1], "bogus")
         with pytest.raises(DimensionError):
             rank([], "prime")
+
+
+class TestKernel:
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_both_routes_are_exact(self, k):
+        # rows on either side of the sort threshold and of the pair-win
+        # arity cutoff, sharing positions across rows, column-major as the
+        # groups are, with many ties
+        t = engine._SORT_ROWS
+        rng = np.random.default_rng(k)
+        for m in (1, 2, 3, t - 1, t, t + 1, 1000):
+            n = 3 * k
+            x = rng.integers(0, 3, n)
+            rows = np.sort(np.argsort(rng.random((m, n)), axis=1)[:, :k], axis=1)
+            idx = np.asfortranarray(rows)
+            expect = np.zeros(n, dtype=np.int64)
+            for row in rows:
+                expect[row] += stable_rank(x[row])
+            got = engine._accumulate(np.zeros(n, dtype=np.int64), x, idx)
+            assert np.array_equal(got, expect), (k, m)
 
 
 @st.composite

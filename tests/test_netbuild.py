@@ -513,6 +513,53 @@ class TestLayout:
                     assert np.array_equal(g, groups[k]), (n, k)
 
 
+# the sizes of the benchmark's sort_cold workload
+SORT_COLD_SIZES = (
+    9, 10, 12, 16, 18, 24, 30, 38, 46, 60, 64, 81,
+    107, 113, 157, 172, 242, 277, 317, 409, 457, 576, 768, 972,
+)
+
+
+class TestWriters:
+    @pytest.mark.parametrize("builder", list(Builder))
+    def test_temporaries_stay_small(self, monkeypatch, builder):
+        # at most 64 KiB above the arrays written, under glibc's 128 KiB mmap
+        # threshold: each writer call of a build, and the whole stream. A
+        # ufunc that broadcasts or writes a strided view takes up to one
+        # buffer of numpy's buffer size per operand, 64 KiB each by default
+        # and never mapped; shrunk to 8 KiB here, they leave the peak to
+        # the writers' own temporaries
+        runs = netbuild._runs
+        peaks = []
+
+        def traced(write):
+            def call(rows, first, stop):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                write(rows, first, stop)
+                peaks.append((tracemalloc.get_traced_memory()[1] - before, write))
+            return call
+
+        bufsize = np.setbufsize(1024)
+        tracemalloc.start()
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(netbuild, "_runs", lambda n, b: [(*run[:3], traced(run[3])) for run in runs(n, b)])
+                for n in SORT_COLD_SIZES:
+                    build_network(n, builder)
+            for n in SORT_COLD_SIZES:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                buffers = {id(chunk.base): chunk.base.nbytes for chunk in netbuild._steps(n, builder)}
+                above = tracemalloc.get_traced_memory()[1] - before - sum(buffers.values())
+                assert above <= 2**16, (n, above)
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(bufsize)
+        assert len(peaks) >= len(SORT_COLD_SIZES)
+        assert max(peak for peak, _ in peaks) <= 2**16, max(peaks, key=lambda p: p[0])
+
+
 class TestSerialization:
     def test_json_schema(self):
         doc = json.loads(network_to_json(divisor_network(6)))
@@ -563,7 +610,7 @@ class TestSerialization:
             text + "\n",
             text.replace('{"n": 30, "builder": "prime"', '{"builder": "prime", "n": 30'),
             *(text.replace(first, f'[{{"indices": [{x}, ', 1)
-              for x in ("1.0", "01", "-1", "true", "99999999999999999999")),
+              for x in ("1.0", "01", "-1", "true", "99999999999999999999", "\uff11")),
             text.replace('{"indices": [28, 29]}', '{"indices": [28, 99999999999999999999]}'),
             '{"n": 30, "builder": "prime", "levels": []}',
             '{"n": 1, "builder": "prime", "levels": []}',

@@ -19,6 +19,13 @@ summary records its pairs won and whether the gain rule holds: at least 9
 in 10 pairs won, and a median gain larger than the parent's interquartile
 range.
 
+Each workload's summary also gives ``per_size_ms``: for each size N, the
+median raw (not host-speed scaled) wall time of an operation on that size,
+over all runs of each side, read from the full result that each run writes
+into ``perfbench/out/`` of its export. Operations of one size are pooled
+whatever their builder or request. A change in a median metric then shows
+which sizes moved.
+
 Each workload's summary also lists its ``regressions``: every end-to-end
 metric whose change median is worse than the parent's by more than the
 metric's ``bound`` in the parent's BENCHMARK.json, a fraction of the
@@ -101,6 +108,28 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def walls(tree: str, workload: str, seed: int) -> dict:
+    """The raw wall times in ms of every operation of one run in tree, by
+    size N, from the full result the run wrote under perfbench/out/."""
+    path = os.path.join(tree, "perfbench", "out", f"result-{workload}-seed{seed}-trace0.json")
+    with open(path) as fh:
+        parts = json.load(fh)["parts"]
+    out: dict = {}
+    for part in parts:
+        for _, n, _, wall, *_ in part["records"]:
+            out.setdefault(n, []).append(wall * 1e3)
+    return out
+
+
+def per_size(sides: dict) -> dict:
+    """{N: {side: median ms}} for sides mapping "parent" and "change" to
+    walls results pooled over their runs, N ascending; a size one side did
+    not run has None."""
+    sizes = sorted(set(sides["parent"]) | set(sides["change"]))
+    return {str(n): {side: sig(percentile(sides[side][n], 0.5)) if n in sides[side] else None
+                     for side in ("parent", "change")} for n in sizes}
 
 
 def percentile(values, q: float) -> float:
@@ -186,11 +215,14 @@ def main(argv=None) -> int:
         for i, (workload, pairs) in enumerate(args.runs):
             seeds = [args.first_seed + 1000 * i + j for j in range(pairs)]
             results = {"parent": [], "change": []}
+            times = {"parent": {}, "change": {}}
             for j, seed in enumerate(seeds):
                 order = ("parent", "change") if j % 2 == 0 else ("change", "parent")
                 for side in order:
                     result = run_once(trees[side], workload, seed, seconds)
                     results[side].append(result)
+                    for n, ms in walls(trees[side], workload, seed).items():
+                        times[side].setdefault(n, []).extend(ms)
                     print(f"{workload} seed {seed} {side}: {json.dumps(result)}", flush=True)
                     with open(os.path.join(log_dir, f"bench-pairs-{args.number}.jsonl"), "a") as fh:
                         fh.write(json.dumps(dict(result, workload=workload, seed=seed,
@@ -210,6 +242,7 @@ def main(argv=None) -> int:
                 "correct": all(r["correct"] for s in results for r in results[s]),
                 "regressions": regressions(metrics, summaries, attempted, failed),
                 "metrics": summaries,
+                "per_size_ms": per_size(times),
             }
     claim = None
     if args.claim:
