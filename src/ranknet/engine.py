@@ -4,12 +4,12 @@ Each comparator computes the stable ranks of its slice of the input and the
 engine adds them into a global integer accumulator, one arity at a time,
 reading the per-arity index arrays that every network lays out when it is
 made. These are column-major, so each index column is one contiguous array.
-A batch of comparators takes one of two routes, each a fixed handful of
-numpy calls. Many rows of arity k <= 5 add, for each of their k(k-1)/2
+A group of comparators takes one of two routes, each a fixed handful of
+numpy calls per batch of rows, batches small enough for the temporaries
+to stay in cache. Many rows of arity k <= 5 add, for each of their k(k-1)/2
 column pairs, one to the position that wins the pair (the larger key, or
 the later position on a tie), so an input's rank is the number of pairs it
-wins; rows are taken in batches small enough for the temporaries to stay
-in cache. Wider rows, and a batch of few rows of any arity, are ranked by
+wins. Wider rows, and a group of few rows of any arity, are ranked by
 one stable argsort per row, whose inverse permutation (a second argsort)
 gives each row's ranks, scattered with ``np.add.at``. A pair pass costs
 about as much as a whole sort of a few rows, so counting pair wins pays
@@ -63,13 +63,15 @@ __all__ = [
 # gained nothing over 5 on a grid of networks of N = 8 to 724.
 _PAIR_WIN_MAX_ARITY = 5
 
-# Rows the pair-win kernel takes at a time. Each of its temporaries is then
-# at most 64 KiB, under glibc's initial 128 KiB mmap threshold, so it comes
-# from the heap and stays in cache. Whole-column temporaries were mapped and
-# faulted in afresh on every call unless an earlier large free had raised
-# the threshold: in a process that had only built a binary N = 365 network,
-# execute took 2-2.5x as long as with the threshold raised.
-_PAIR_WIN_ROWS = 8192
+# Rows the kernel takes at a time, on either route. Each pair-win temporary
+# is then at most 64 KiB, under glibc's initial 128 KiB mmap threshold, so
+# it comes from the heap and stays in cache. Whole-column temporaries were
+# mapped and faulted in afresh on every call unless an earlier large free
+# had raised the threshold: in a process that had only built a binary
+# N = 365 network, execute took 2-2.5x as long as with the threshold
+# raised. A sort batch's temporaries are a few times k * 64 KiB, where a
+# whole group's made an execute of prime N = 2401 peak at twice its network.
+_BATCH_ROWS = 8192
 
 # Rows below which a batch of any arity is ranked by sorting. A pair pass
 # costs about 4 us at any row count, and a sort of a few rows about as
@@ -84,15 +86,16 @@ _SORT_ROWS = 32
 def _accumulate(acc: np.ndarray, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Add the stable local ranks of the comparators idx (m, k) into acc."""
     m, k = idx.shape
-    if k > _PAIR_WIN_MAX_ARITY or m < _SORT_ROWS:
-        # a row's ranks are the inverse of its stable order
-        ranks = np.argsort(x[idx], axis=1, kind="stable").argsort(axis=1)
-        # 1-D and of equal length: numpy 2.4's add.at reads values it must
-        # broadcast over 2-D indices out of bounds, and is slower on 2-D
-        np.add.at(acc, idx.ravel(), ranks.ravel())
-        return acc
-    for start in range(0, m, _PAIR_WIN_ROWS):
-        rows = idx[start : start + _PAIR_WIN_ROWS]
+    by_sort = k > _PAIR_WIN_MAX_ARITY or m < _SORT_ROWS
+    for start in range(0, m, _BATCH_ROWS):
+        rows = idx[start : start + _BATCH_ROWS]
+        if by_sort:
+            # a row's ranks are the inverse of its stable order
+            ranks = np.argsort(x[rows], axis=1, kind="stable").argsort(axis=1)
+            # 1-D and of equal length: numpy 2.4's add.at reads values it must
+            # broadcast over 2-D indices out of bounds, and is slower on 2-D
+            np.add.at(acc, rows.ravel(), ranks.ravel())
+            continue
         # lo wins only when strictly greater: a tie goes to hi, the later position
         for i, j in combinations(range(k), 2):
             lo, hi = rows[:, i], rows[:, j]

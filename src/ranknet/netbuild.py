@@ -54,7 +54,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, RankNetError, ValidationError
+from .errors import DimensionError, DomainError, ValidationError
 
 __all__ = [
     "Builder",
@@ -881,59 +881,34 @@ def network_to_json(net: Network) -> str:
     return "".join(pieces)
 
 
-# The header network_to_json writes, and the text between two of its levels
-_HEADER = re.compile(r'\{"n": ([1-9][0-9]*), "builder": "([a-z]+)", "levels": \[')
-_LEVEL_BREAK = "}], [{"
-# every byte of canonical levels but digits and spaces
-_PUNCTUATION = b'{}[]":,indces'
+# The header network_to_json writes, N of at most 10 digits: no network has
+# more than 2**32 positions, and int() refuses more than 4300 digits.
+_HEADER = re.compile(r'\{"n": ([1-9][0-9]{0,9}), "builder": "([a-z]+)", "levels": \[')
 
 
-def _canonical_network(text: str) -> Network | None:
-    """The network whose network_to_json is text, byte for byte, or None.
+def _rebuilt_network(text: str) -> Network | None:
+    """The builder network whose network_to_json is text, byte for byte, or None.
 
-    Each level's rows are its count of ':', and its arity is its first row's
-    count of ',' plus one. The levels are encoded to ASCII, their punctuation
-    deleted by one bytes.translate, and all indices read from the digits and
-    spaces left by one np.fromstring, which raises ValueError on a token it
-    cannot read, such as 1.5, and saturates 99999999999999999999 to the
-    largest int64. So the network is kept only if it writes text back
-    exactly; then json.loads would have read the same network. None on any
-    other outcome, and on any error, text that is not ASCII included.
-    Canonical text holds no '-', so text with a negative index is given up
-    before parsing.
+    Builder output is a closed-form function of N and the builder, so the
+    network the header names is built and kept only if it writes text back
+    exactly; then json.loads would have read the same network. Each index
+    takes at least 3 bytes, one digit and ', ', so a text shorter than that
+    per index of the network it names is given up before anything is built.
     """
     header = _HEADER.match(text)
-    if header is None or not text.endswith("]}") or "-" in text:
+    if header is None or header[2] not in [b.value for b in Builder]:
         return None
-    start, stop = header.end(), len(text) - 2
-    shapes = []
-    begin = start
-    while begin < stop:
-        end = text.find(_LEVEL_BREAK, begin, stop)
-        end = stop if end < 0 else end
-        row = text.find("]", begin, end)
-        if row < 0:
-            # every canonical level closes its first row's indices; and a
-            # count to -1 would scan to the end of the text once per level
-            return None
-        shapes.append((text.count(":", begin, end), text.count(",", begin, row) + 1))
-        begin = end + len(_LEVEL_BREAK)
+    n, builder = int(header[1]), Builder(header[2])
+    if not 2 <= n <= len(text) // 3:
+        return None
+    if 3 * sum(k * levels * m for k, levels, m, _ in _runs(n, builder)) > len(text):
+        return None
     try:
-        # text that is not ASCII raises UnicodeEncodeError, a ValueError
-        digits = text[start:stop].encode("ascii").translate(None, _PUNCTUATION)
-        values = np.fromstring(digits, dtype=np.int64, sep=" ")
-        # a level of no rows writes back as [], but Network refuses it
-        if min((m for m, _ in shapes), default=1) < 1 or sum(m * k for m, k in shapes) != values.size:
-            return None
-        n = int(header[1])
-        groups = _empty_groups(n, shapes)
-        at = 0
-        for rows in _row_ranges(groups, shapes):
-            rows[...] = values[at : at + rows.size].reshape(rows.shape)
-            at += rows.size
-        net = Network._from_groups(n, header[2], groups, shapes)
+        net = _built(n, builder)
         return net if network_to_json(net) == text else None
-    except (RankNetError, ValueError):
+    except DimensionError:
+        # past the budget, such as binary N above 11770: such a text can
+        # only come from json.dumps, and its outcome is json.loads's
         return None
 
 
@@ -943,10 +918,12 @@ _INDICES = operator.itemgetter("indices")
 def network_from_json(doc) -> Network:
     """Load a network document (JSON text or its parsed form).
 
-    Text that network_to_json writes takes a fast path: one pass reads all
-    its indices, and the network is kept only if network_to_json writes the
-    text back byte for byte. Any other document, including bytes, goes
-    through json.loads, which writes every error message.
+    Text that network_to_json writes for a builder's network is rebuilt from
+    its header: the builder's network is built and kept only if
+    network_to_json writes the text back byte for byte, so neither a parse
+    nor validate_network runs. Any other document, including bytes and a
+    hand-built network's text, goes through json.loads, which writes every
+    error message.
 
     Raises ValidationError for a malformed document, for indices that are
     not integers (booleans included), for a level whose comparators differ
@@ -955,10 +932,8 @@ def network_from_json(doc) -> Network:
     exceed the check's memory budget (a right pair total with N above
     46340).
     """
-    net = _canonical_network(doc) if isinstance(doc, str) else None
-    if net is None:
-        return _network_from_doc(doc)
-    return _require_valid(net, validate_network(net).violations)
+    net = _rebuilt_network(doc) if isinstance(doc, str) else None
+    return _network_from_doc(doc) if net is None else net
 
 
 def _network_from_doc(doc) -> Network:

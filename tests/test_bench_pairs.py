@@ -106,6 +106,27 @@ def test_regressions_apply_the_bound_rule(keys, rss, failed, found):
     assert "failed_share" not in bench_pairs.regressions(BOUNDED, summaries, RUNS, same)
 
 
+@pytest.mark.parametrize(
+    "parent, change, found",
+    [
+        # parent quartiles 90 and 110, an IQR of 20% of the median 100
+        ([80.0, 90.0, 100.0, 110.0, 120.0], [100.0] * 5, []),  # within the 25% bound
+        ([60.0, 70.0, 100.0, 130.0, 140.0], [100.0] * 5, ["keys_per_s"]),  # IQR 60%
+        # every change run better than every parent run: resolved however wide
+        ([60.0, 70.0, 100.0, 130.0, 140.0], [150.0] * 5, []),
+        ([60.0, 70.0, 100.0, 130.0, 140.0], [150.0] * 4 + [140.0], ["keys_per_s"]),  # a tie
+    ],
+)
+def test_unresolved_applies_the_spread_rule(parent, change, found):
+    summaries = {"keys_per_s": bench_pairs.summarize(BOUNDED["keys_per_s"], parent, change)}
+    metrics = {"keys_per_s": BOUNDED["keys_per_s"]}
+    assert bench_pairs.unresolved(metrics, summaries) == found
+    # lower is better: the same runs, negated, read the same way
+    lower = dict(BOUNDED["keys_per_s"], better="lower")
+    flipped = {"keys_per_s": bench_pairs.summarize(lower, [-v for v in parent], [-v for v in change])}
+    assert bench_pairs.unresolved({"keys_per_s": lower}, flipped) == found
+
+
 def test_per_size_reads_raw_walls_from_the_result_file(tmp_path):
     out = tmp_path / "perfbench" / "out"
     out.mkdir(parents=True)

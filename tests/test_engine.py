@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -180,6 +181,20 @@ class TestKernel:
                 expect[row] += stable_rank(x[row])
             got = engine._accumulate(np.zeros(n, dtype=np.int64), x, idx)
             assert np.array_equal(got, expect), (k, m)
+
+    def test_sort_route_is_batched(self):
+        # prime N = 2401 is one 7-ary group of 137200 rows (7.7 MB): taken
+        # whole, the sort route's temporaries peaked at 15 MB
+        net = prime_network(2401)
+        x = np.random.default_rng(2401).integers(0, 100, 2401)
+        tracemalloc.start()
+        try:
+            got = execute(net, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, stable_rank(x))
+        assert peak < 4 * 2**20, peak
 
 
 @st.composite

@@ -270,9 +270,11 @@ class TestInvariants:
 
 class TestValidation:
     def test_valid_networks(self):
-        for n in [5, 6, 8, 12]:
+        # every builder network of TestLayout's sizes: network_from_json
+        # rebuilds builder documents without validating them
+        for n in [*range(2, 201), 625, 729, 972, 1001, 1024]:
             for builder in Builder:
-                assert validate_network(build_network(n, builder)).ok
+                assert validate_network(build_network(n, builder)).ok, (n, builder)
         # N = 1 has no pairs, so a network with no levels is complete
         assert validate_network(Network(1, [], Builder.BINARY)).ok
 
@@ -627,16 +629,17 @@ class TestSerialization:
         # half a minute here; json.loads rejects it at its first ','
         levels = '{"n": 30, "builder": "prime", "levels": [' + ",}], [{" * 10**5 + "]}"
         started = time.perf_counter()
-        assert netbuild._canonical_network(levels) is None
+        assert netbuild._rebuilt_network(levels) is None
         assert time.perf_counter() - started < 2
         for text in canonical:
-            assert netbuild._canonical_network(text) is not None
+            assert netbuild._rebuilt_network(text) is not None
         for text in [*canonical, *perturbed, levels, *INVALID_DOCUMENTS]:
             assert outcome(network_from_json, text) == outcome(netbuild._network_from_doc, text)
 
     def test_negative_index_skips_fast_path(self, monkeypatch):
-        # canonical text holds no '-': such a document goes to json.loads at
-        # once, before any index is read, and gets the same message
+        # builder text holds no '-': the rebuilt network does not write such a
+        # document back, so it goes to json.loads, which reads its indices
+        # (np.fromstring is not called at all) and gets the same message
         text = network_to_json(prime_network(64))
         for bad in (text.replace("[0, ", "[-1, ", 1), text.replace("63]", "-63]")):
             with pytest.raises(ValidationError) as raised:
@@ -651,6 +654,32 @@ class TestSerialization:
                 with pytest.raises(ValidationError) as again:
                     network_from_json(bad)
             assert str(again.value) == str(raised.value)
+
+    def test_short_document_builds_nothing(self, monkeypatch):
+        # a header naming a network of more indices than a third of the text's
+        # bytes is not rebuilt: neither a few bytes naming binary N = 16384
+        # (2 GB of indices) nor binary N = 2000 one byte short of 3 bytes an index
+        short = '{"n": 16384, "builder": "binary", "levels": []}'
+        indices = 2000 * 1999
+        head = '{"n": 2000, "builder": "binary", "levels": ['
+        padded = head + " " * (3 * indices - 1 - len(head) - 2) + "]}"
+        assert len(padded) == 3 * indices - 1
+
+        def unbuilt(n, builder):
+            raise AssertionError(f"built {builder.value} N = {n}")
+
+        for text in (short, padded):
+            with pytest.raises(ValidationError) as raised:
+                netbuild._network_from_doc(text)
+            with monkeypatch.context() as m:
+                m.setattr(netbuild, "_built", unbuilt)
+                with pytest.raises(ValidationError) as again:
+                    network_from_json(text)
+            assert (type(again.value), str(again.value)) == (type(raised.value), str(raised.value))
+        # one byte more, and the rebuild is tried
+        monkeypatch.setattr(netbuild, "_built", unbuilt)
+        with pytest.raises(AssertionError, match="built binary N = 2000"):
+            network_from_json(padded + " ")
 
     @pytest.mark.parametrize(
         "n, builder", [(16, "binary"), (15, "binary"), (12, "divisor"), (30, "prime"), (7, "prime")]

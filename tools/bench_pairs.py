@@ -30,7 +30,10 @@ Each workload's summary also lists its ``regressions``: every end-to-end
 metric whose change median is worse than the parent's by more than the
 metric's ``bound`` in the parent's BENCHMARK.json, a fraction of the
 parent's median, and ``failed_share`` when a larger share of the change's
-operations failed.
+operations failed. It lists as ``unresolved`` every end-to-end metric whose
+parent runs spread wider than its bound, an interquartile range above that
+fraction of the parent's median, unless every change run reads better than
+every parent run: the pairs cannot tell such a metric unchanged.
 
 Of the working tree, only the git repository is read. Written into it are
 the summary, BENCH_<number>.json at the root, and every run's last output
@@ -194,6 +197,21 @@ def regressions(metrics: dict, summaries: dict, attempted: dict, failed: dict) -
     return out
 
 
+def unresolved(metrics: dict, summaries: dict) -> list:
+    """The names of the end-to-end metrics, of metrics, whose summaries
+    (summarize results) have a parent interquartile range wider than their
+    bound, a fraction of the parent's median, unless every change run
+    reads better than every parent run."""
+    out = []
+    for name, metric in metrics.items():
+        s = summaries[name]
+        sign = 1 if metric["better"] == "higher" else -1
+        better = min(sign * v for v in s["change_runs"]) > max(sign * v for v in s["parent_runs"])
+        if s["parent_iqr"] > metric["bound"] * abs(s["parent"]["median"]) and not better:
+            out.append(name)
+    return out
+
+
 def host() -> dict:
     numpy = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
                            capture_output=True, text=True).stdout.strip()
@@ -241,6 +259,7 @@ def main(argv=None) -> int:
                 "failed": failed,
                 "correct": all(r["correct"] for s in results for r in results[s]),
                 "regressions": regressions(metrics, summaries, attempted, failed),
+                "unresolved": unresolved(metrics, summaries),
                 "metrics": summaries,
                 "per_size_ms": per_size(times),
             }
