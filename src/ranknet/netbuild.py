@@ -669,20 +669,52 @@ def _within_budget(nbytes: int, n: int) -> None:
         )
 
 
+# Most codes in one block of _pair_codes
+_PAIR_CHUNK = 2**16
+
+
 def _pair_codes(net: Network):
-    """Every comparator's pairs (i, j) as codes i*N + j, one index column of
-    one arity group at a time, with the group's row count: each batch holds at
-    most as many codes as the network holds indices, and a batch of one row
-    holds no code twice."""
+    """Every comparator's pairs (i, j), i < j, as codes i*N + j, in blocks,
+    each with its number of rows.
+
+    A block holds at most _PAIR_CHUNK codes, unless one shift of one row
+    alone holds more; and a block of one row holds no code twice. A k-ary
+    group goes by shifts: for s = 1 .. k//2, index column c paired with
+    column c + s mod k names every pair of a row once, except that the shift
+    k/2 of an even k names each of its pairs twice and so takes its first
+    k/2 columns only. A block holds as many shifts of the group's M rows as
+    fit, or one shift of a range of rows where one shift of all M holds more
+    than _PAIR_CHUNK codes, so the group costs about M*k(k-1)/2 / _PAIR_CHUNK
+    blocks, not k-1.
+    """
     n = net.n
     for k, idx in net.arity_groups().items():
-        for a in range(k - 1):
-            # in memory order, a view of the column-major batch
-            yield (idx[:, a, None] * n + idx[:, a + 1 :]).ravel(order="K"), len(idx)
-
-
-# Most codes the failure path of _pair_violations takes at once
-_PAIR_CHUNK = 2**16
+        t = idx.T  # C order: index column c is the contiguous row t[c]
+        m = t.shape[1]
+        full = (k - 1) // 2  # the shifts below k/2, k pairs a row each
+        rows = min(m, max(1, _PAIR_CHUNK // k))
+        step = max(1, _PAIR_CHUNK // (rows * k))
+        for r in range(0, m, rows):
+            u = t[:, r : r + rows]
+            for s in range(1, full + 1, step):
+                q = min(step, full + 1 - s)
+                # other[j, c] is row j + c of doubled: index column c + s + j mod k
+                doubled = np.concatenate((u[s:], u[: s + q - 1]))
+                other = np.ndarray(
+                    (q,) + u.shape, np.int64, doubled, 0, doubled.strides[:1] + doubled.strides
+                )
+                # min * N + max, as min * (N - 1) + both, with one temporary
+                codes = np.minimum(u, other)
+                codes *= n - 1
+                codes += u
+                codes += other
+                yield codes.ravel(), u.shape[1]
+        if k % 2 == 0:
+            h = k // 2
+            rows = max(1, _PAIR_CHUNK // h)
+            for r in range(0, m, rows):
+                half = t[:h, r : r + rows] * n + t[h:, r : r + rows]
+                yield half.ravel(), half.shape[1]
 
 
 def _pair_violations(net: Network) -> list[str]:
@@ -692,7 +724,9 @@ def _pair_violations(net: Network) -> list[str]:
     bitmap. Its rows are strictly increasing, so every code is a pair with
     i < j, and N(N-1)/2 distinct codes then mean that each pair is covered
     exactly once. Only on failure are the pairs counted, in time linear in
-    the pairs.
+    the pairs: a second pass over the same blocks of _pair_codes marks the
+    pairs seen twice, the two bitmaps give the first ten bad pairs, and a
+    third pass counts how often each of those is covered.
     """
     n = net.n
     total = sum(len(idx) * k * (k - 1) // 2 for k, idx in net.arity_groups().items())
@@ -707,17 +741,15 @@ def _pair_violations(net: Network) -> list[str]:
         _exact(net)
         return []
 
-    # failure path: mark the pairs seen twice, a chunk of codes at a time;
-    # a code repeats one of an earlier chunk or one of its own
+    # failure path: mark the pairs seen twice, a block at a time; a code
+    # repeats one of an earlier block or one of its own
     seen[:] = False
     twice = np.zeros_like(seen)
     for codes, rows in _pair_codes(net):
-        for at in range(0, codes.size, _PAIR_CHUNK):
-            chunk = codes[at : at + _PAIR_CHUNK]
-            twice[chunk[seen[chunk]]] = True
-            if rows > 1:
-                twice[_repeats(chunk)] = True
-            seen[chunk] = True
+        twice[codes[seen[codes]]] = True
+        if rows > 1:
+            twice[_repeats(codes)] = True
+        seen[codes] = True
     more = expected - np.count_nonzero(seen) + np.count_nonzero(twice)
 
     # the first ten bad pairs, i < j, in code order, a block of rows at a time

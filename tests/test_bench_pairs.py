@@ -144,3 +144,28 @@ def test_per_size_reads_raw_walls_from_the_result_file(tmp_path):
         "12": {"parent": 4.0, "change": None},
         "30": {"parent": None, "change": 7.0},
     }
+
+
+def test_raw_reads_unscaled_metrics_from_the_result_file(tmp_path):
+    out = tmp_path / "perfbench" / "out"
+    out.mkdir(parents=True)
+    # two parts, with probe passes that the run's own, scaled, metrics read
+    # and the raw ones do not
+    parts = [
+        {"passes": {"py": [[0.5, 0.5]]},
+         "records": [[0, 10, "binary", 0.001, 0.002, 0], [0, 30, "prime", 0.004, 0.003, 0]]},
+        {"passes": {"py": [[2.0, 2.0]]},
+         "records": [[0, 20, "divisor", 0.002, 0.001, 1], [1, 40, "binary", 0.003, 0.002, 1]]},
+    ]
+    (out / "result-audit-seed7-trace0.json").write_text(json.dumps({"parts": parts}))
+    raw = bench_pairs.raw(str(tmp_path), "audit", 7)
+    # walls 1, 4, 2 and 3 ms; 100 keys in 10 ms; 8 ms of CPU over 4 operations
+    assert raw == pytest.approx(
+        {"latency_p50_ms": 2.5, "latency_p90_ms": 3.7, "keys_per_s": 10000.0, "cpu_ms_per_op": 2.0}
+    )
+    runs = {"parent": [raw, dict(raw, keys_per_s=8000.0), dict(raw, keys_per_s=9000.0)],
+            "change": [dict(raw, latency_p50_ms=2.0), dict(raw, latency_p50_ms=1.0)]}
+    medians = bench_pairs.raw_medians(runs)
+    assert medians["keys_per_s"] == {"parent": 9000.0, "change": 10000.0}
+    assert medians["latency_p50_ms"] == {"parent": 2.5, "change": 1.5}
+    assert medians["cpu_ms_per_op"] == {"parent": 2.0, "change": 2.0}

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
+import itertools
 import json
+import math
 import re
 import time
 import tracemalloc
@@ -323,10 +325,20 @@ class TestValidation:
             (6, [[(1, 2, 3, 4, 5)], [(0, 1), (0, 2), (0, 3), (0, 4), (0, 1)]], "binary",
              ["level 1: comparators overlap at [0, 1]",
               "pair (0,1) covered 2 times", "pair (0,5) covered 0 times"], None),
+            # two 6-ary rows of one block of shifts, sharing the six pairs of
+            # {0, 1, 2, 3}, three of them through position 0 and (0,3) in the
+            # half shift; 2-ary levels cover the pairs through 8 to 11 but two
+            (12, [[(0, 1, 2, 3, 4, 5)], [(0, 1, 2, 3, 6, 7)]]
+             + [[(i, j)] for i, j in itertools.combinations(range(12), 2)
+                if j > 7 and (i, j) not in ((9, 11), (10, 11))],
+             "binary",
+             [f"pair ({i},{j}) covered 2 times" for i, j in itertools.combinations(range(4), 2)]
+             + [f"pair ({i},{j}) covered 0 times" for i, j in [(4, 6), (4, 7), (5, 6), (5, 7)]]
+             + ["... and 2 more pair-coverage violations"], None),
         ],
         ids=["overlap", "coverage", "arity", "pair-total", "pair-twice", "huge-n-no-pairs",
          "huge-n-one-pair", "huge-position", "three-times", "pairs-over-10", "wide-plus-pairs",
-         "wide-plus-pairs-one-level"],
+         "wide-plus-pairs-one-level", "wide-rows-share-pairs"],
     )
     def test_level_violations(self, n, levels, builder, violations, valid_as):
         report = validate_network(Network(n, levels, builder))
@@ -340,7 +352,8 @@ class TestValidation:
         # builder networks with levels dropped, repeated, rewritten or grown,
         # so that many keep the right pair total; small batch and chunk sizes
         # send the batched checks across several batches and chunks, and a
-        # network naming position N-1 level by level
+        # network naming position N-1 level by level; blocks of 3 or 40 codes
+        # split a group's rows or hold several of its shifts
         n = data.draw(st.integers(2, 13))
         builder = data.draw(st.sampled_from(Builder))
         levels = [lv.indices.tolist() for lv in build_network(n, data.draw(st.sampled_from(Builder))).levels]
@@ -360,10 +373,41 @@ class TestValidation:
         net = Network(n, levels, builder)
         expected = reference_violations(net)
         with pytest.MonkeyPatch.context() as mp:
-            for slots, chunk in ((2**16, 2**16), (n - 1, 3)):
+            for slots, chunk in ((2**16, 2**16), (n - 1, 3), (n - 1, 40)):
                 mp.setattr(netbuild, "_LEVEL_SLOTS", slots)
                 mp.setattr(netbuild, "_PAIR_CHUNK", chunk)
                 assert validate_network(net).violations == expected
+
+    @pytest.mark.parametrize("chunk", [2**16, 3, 40])
+    def test_pair_codes_name_every_pair_once(self, monkeypatch, chunk):
+        monkeypatch.setattr(netbuild, "_PAIR_CHUNK", chunk)
+        nets = [build_network(n, builder) for n in (2, 7, 12, 16, 30, 64) for builder in Builder]
+        nets += [Network(9, [[(0, 1, 2, 3, 4, 5, 6, 7, 8)], [(0, 2, 4, 6, 8)], [(1, 3, 5, 7)]], "binary")]
+        for net in nets:
+            expected = Counter(i * net.n + j for row in net.comparators()
+                               for i, j in itertools.combinations(row.indices, 2))
+            blocks = list(netbuild._pair_codes(net))
+            assert Counter(np.concatenate([codes for codes, _ in blocks]).tolist()) == expected
+            for codes, rows in blocks:
+                assert codes.size <= max(chunk, *net.arity_groups())
+                if rows == 1:
+                    assert np.unique(codes).size == codes.size
+
+    def test_wide_comparators_take_few_blocks(self):
+        # one 509-ary comparator: blocks of shifts, where one batch per index
+        # column made 508; every block within the chunk
+        k = 509
+        blocks = [codes.size for codes, _ in netbuild._pair_codes(build_network(k, "prime"))]
+        assert len(blocks) <= math.ceil(k * (k - 1) / netbuild._PAIR_CHUNK) + 1
+        assert max(blocks) <= netbuild._PAIR_CHUNK and sum(blocks) == k * (k - 1) // 2
+        for n, builder in [(509, "prime"), (401, "divisor"), (157, "divisor"), (107, "divisor")]:
+            assert validate_network(build_network(n, builder)).ok
+        # a long group: one shift of a range of rows per block, every block
+        # but the last full
+        n = 4096
+        blocks = [codes.size for codes, _ in netbuild._pair_codes(build_network(n, "binary"))]
+        assert len(blocks) == math.ceil(n * (n - 1) / 2 / netbuild._PAIR_CHUNK)
+        assert set(blocks[:-1]) == {netbuild._PAIR_CHUNK} and sum(blocks) == n * (n - 1) // 2
 
     def test_binary_n5_pair_count(self):
         net = binary_network(5)

@@ -26,6 +26,14 @@ into ``perfbench/out/`` of its export. Operations of one size are pooled
 whatever their builder or request. A change in a median metric then shows
 which sizes moved.
 
+Each workload's summary also gives ``raw``: for each of latency_p50_ms,
+latency_p90_ms, keys_per_s and cpu_ms_per_op, the median over each side's
+runs of the metric as ``perfbench/run.py``'s ``end_to_end`` computes it from
+the run's operation records, but unscaled by the host-speed probes. A change
+in a scaled median that the raw one does not share came from the probes.
+It is informational: the claim, ``regressions`` and ``unresolved`` read the
+scaled metrics only.
+
 Each workload's summary also lists its ``regressions``: every end-to-end
 metric whose change median is worse than the parent's by more than the
 metric's ``bound`` in the parent's BENCHMARK.json, a fraction of the
@@ -113,17 +121,43 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def walls(tree: str, workload: str, seed: int) -> dict:
-    """The raw wall times in ms of every operation of one run in tree, by
-    size N, from the full result the run wrote under perfbench/out/."""
+def records(tree: str, workload: str, seed: int) -> list:
+    """The operation records of one run in tree, (round, N, builder, wall s,
+    cpu s, probe passes before it), pooled over its parts, from the full
+    result the run wrote under perfbench/out/."""
     path = os.path.join(tree, "perfbench", "out", f"result-{workload}-seed{seed}-trace0.json")
     with open(path) as fh:
         parts = json.load(fh)["parts"]
+    return [rec for part in parts for rec in part["records"]]
+
+
+def walls(tree: str, workload: str, seed: int) -> dict:
+    """The raw wall times in ms of every operation of one run in tree, by
+    size N."""
     out: dict = {}
-    for part in parts:
-        for _, n, _, wall, *_ in part["records"]:
-            out.setdefault(n, []).append(wall * 1e3)
+    for _, n, _, wall, *_ in records(tree, workload, seed):
+        out.setdefault(n, []).append(wall * 1e3)
     return out
+
+
+def raw(tree: str, workload: str, seed: int) -> dict:
+    """The timing metrics of one run in tree, from its operation records as
+    perfbench/run.py's end_to_end computes them, but unscaled."""
+    recs = records(tree, workload, seed)
+    times = [rec[3] for rec in recs]
+    return {
+        "latency_p50_ms": percentile(times, 0.5) * 1e3,
+        "latency_p90_ms": percentile(times, 0.9) * 1e3,
+        "keys_per_s": sum(rec[1] for rec in recs) / sum(times),
+        "cpu_ms_per_op": sum(rec[4] for rec in recs) * 1e3 / len(recs),
+    }
+
+
+def raw_medians(sides: dict) -> dict:
+    """{metric: {side: median}} for sides mapping "parent" and "change" to
+    their runs' raw results."""
+    return {name: {side: sig(percentile([r[name] for r in sides[side]], 0.5))
+                   for side in ("parent", "change")} for name in sides["parent"][0]}
 
 
 def per_size(sides: dict) -> dict:
@@ -234,6 +268,7 @@ def main(argv=None) -> int:
             seeds = [args.first_seed + 1000 * i + j for j in range(pairs)]
             results = {"parent": [], "change": []}
             times = {"parent": {}, "change": {}}
+            raws = {"parent": [], "change": []}
             for j, seed in enumerate(seeds):
                 order = ("parent", "change") if j % 2 == 0 else ("change", "parent")
                 for side in order:
@@ -241,6 +276,7 @@ def main(argv=None) -> int:
                     results[side].append(result)
                     for n, ms in walls(trees[side], workload, seed).items():
                         times[side].setdefault(n, []).extend(ms)
+                    raws[side].append(raw(trees[side], workload, seed))
                     print(f"{workload} seed {seed} {side}: {json.dumps(result)}", flush=True)
                     with open(os.path.join(log_dir, f"bench-pairs-{args.number}.jsonl"), "a") as fh:
                         fh.write(json.dumps(dict(result, workload=workload, seed=seed,
@@ -262,6 +298,7 @@ def main(argv=None) -> int:
                 "unresolved": unresolved(metrics, summaries),
                 "metrics": summaries,
                 "per_size_ms": per_size(times),
+                "raw": raw_medians(raws),
             }
     claim = None
     if args.claim:
