@@ -23,9 +23,15 @@ checked once, before its first use, and raises ValidationError if it does
 not (DimensionError if the check's pair bitmap would exceed its budget).
 
 ``rank(x, builder)`` gives the same result as executing the builder's
-network without building it: the network's rows come a chunk at a time from
-netbuild's step generator, and each chunk is added into the accumulator as
-it comes, so memory stays O(N) plus a chunk.
+network, without building it or writing a single index. It reads the runs
+of levels the builder's network is made of (netbuild._runs) and makes each
+run's comparisons as dense compares of contiguous blocks of keys. A block
+run of f-ary comparators w(j) ranks the rows of x viewed as (N/f, f) by
+the kernel's rule. A cross run compares every key of each block of D with
+every key of the later blocks of its block of dD, which are exactly the
+pairs of its comparators. The binary network's circle run compares every
+pair. A compare is one boolean tile of at most _TILE_CELLS key pairs, so
+memory stays O(N) plus a tile.
 
 ``partial_rank_table`` keeps each level's partial ranks apart, as the rows
 of one (L, N) array. A batch of consecutive levels of one arity goes
@@ -45,7 +51,7 @@ import numpy as np
 
 from .errors import DimensionError, PermutationError
 from . import netbuild
-from .netbuild import Builder, Network, _builder, _level_runs, _require_valid, _steps
+from .netbuild import Builder, Network, _builder, _level_runs, _require_valid, _runs
 from .rankcore import as_keys
 
 __all__ = [
@@ -77,21 +83,30 @@ _BATCH_ROWS = 8192
 # costs about 4 us at any row count, and a sort of a few rows about as
 # much: two 5-ary rows took 34 us by pair wins and 4.2 us sorted, 324
 # ternary rows 17 and 27 us. Geometric mean over the sizes of the
-# benchmark's grids of each size's median time, against no threshold, at
-# 16/32/64/128 rows: rank on sort_cold 0.960/0.955/0.959/0.975, execute on
-# execute_warm 0.932/0.912/0.911/0.943 (2-core host).
+# execute_warm grid of each size's median execute time, against no
+# threshold, at 16/32/64/128 rows: 0.932/0.912/0.911/0.943 (2-core host).
+# rank's block runs take the same rule.
 _SORT_ROWS = 32
+
+
+def _by_sort(m: int, k: int) -> bool:
+    """Whether m comparators of arity k are ranked by sorting, not by pair wins."""
+    return k > _PAIR_WIN_MAX_ARITY or m < _SORT_ROWS
+
+
+def _stable_ranks(keys: np.ndarray) -> np.ndarray:
+    """The stable ranks of each row of keys: the inverse of its stable order."""
+    return np.argsort(keys, axis=1, kind="stable").argsort(axis=1)
 
 
 def _accumulate(acc: np.ndarray, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Add the stable local ranks of the comparators idx (m, k) into acc."""
     m, k = idx.shape
-    by_sort = k > _PAIR_WIN_MAX_ARITY or m < _SORT_ROWS
+    by_sort = _by_sort(m, k)
     for start in range(0, m, _BATCH_ROWS):
         rows = idx[start : start + _BATCH_ROWS]
         if by_sort:
-            # a row's ranks are the inverse of its stable order
-            ranks = np.argsort(x[rows], axis=1, kind="stable").argsort(axis=1)
+            ranks = _stable_ranks(x[rows])
             # 1-D and of equal length: numpy 2.4's add.at reads values it must
             # broadcast over 2-D indices out of bounds, and is slower on 2-D
             np.add.at(acc, rows.ravel(), ranks.ravel())
@@ -133,9 +148,9 @@ def rank(x, builder: Builder | str) -> np.ndarray:
     """The stable rank of x by the builder's network on len(x) positions,
     without building it: exactly execute(build_network(len(x), builder), x).
 
-    The network's comparators are made a chunk of rows at a time, by the
-    writers the builders use, and each chunk is added into the ranks as it
-    is made, so memory is O(N) plus one chunk per arity, never the whole
+    Each run of the network's levels makes its comparisons as dense compares
+    of contiguous blocks of keys (see _wins), each pair of positions once, so
+    memory is O(N) plus one tile of at most _TILE_CELLS key pairs, never the
     network, and no group budget applies. Builder output is exact by
     construction, so no pair check runs. One key has rank 0.
     """
@@ -143,9 +158,113 @@ def rank(x, builder: Builder | str) -> np.ndarray:
     builder = _builder(builder)
     acc = np.zeros(a.size, dtype=np.int64)
     if a.size > 1:
-        for idx in _steps(a.size, builder):
-            _accumulate(acc, a, idx)
+        for k, levels, m, write in _runs(a.size, builder):
+            # the run's kind is the writer it names
+            rule = getattr(write, "func", write)
+            if rule is netbuild._block_rows:
+                _rank_rows(acc.reshape(m, k), a.reshape(m, k))
+            elif rule is netbuild._cross_rows:
+                _cross_run(acc, a, k, levels)
+            else:  # the circle method's rounds
+                _circle_run(acc, a)
     return acc
+
+
+# Most key pairs one compare of rank takes, and the most keys on either
+# side of it. Summed median rank time over the benchmark's sort_cold grid
+# (24 sizes, N = 9 to 972), all budgets interleaved in one process on a
+# 2-core host: 2**12 9.03 ms, 2**14 4.55, 2**15 3.84, 2**16 3.62, 2**17
+# 3.58, 2**18 4.01. Larger tiles gain at large N (binary N = 8192 72 ms at
+# 2**16, 56 ms at 2**17), but 2**16 booleans, 64 KiB, stay under glibc's
+# initial 128 KiB mmap threshold.
+_TILE_CELLS = 2**16
+
+
+def _wins(acc_lo, x_lo, acc_hi, x_hi, upper: np.ndarray | None = None) -> None:
+    """Compare every key of each row of x_lo (..., r) with every key of the
+    same row of x_hi (..., c): the compare of rank's cross and circle runs
+    (block runs go by _rank_rows). Adds each lo key's wins into the same
+    place of acc_lo and takes each hi key's losses from acc_hi. The caller
+    adds to each key the number of keys before it that it is compared with,
+    so that a hi key's wins are that number less its losses.
+
+    The positions of x_lo all come before those of x_hi, so a lo key wins
+    only when strictly greater, and a tie goes to hi, the later position.
+    With upper, x_lo and x_hi are the same r keys, a diagonal tile, and
+    upper the (r, r) mask of its pairs i < j: only those are compared. The
+    wins are the sums of one boolean (..., r, c) compare along its two axes.
+    """
+    wins = x_lo[..., :, None] > x_hi[..., None, :]
+    if upper is not None:
+        wins &= upper
+    # a side of a tile is at most _TILE_CELLS, so int32 holds every sum;
+    # summing booleans into int32 took half as long as into int64
+    acc_lo += wins.sum(axis=-1, dtype=np.int32)
+    acc_hi -= wins.sum(axis=-2, dtype=np.int32)
+
+
+def _rank_rows(acc: np.ndarray, x: np.ndarray) -> None:
+    """Add the stable ranks of each row of x (m, k) into the same row of acc:
+    a block run, m comparators w(j) on disjoint contiguous positions, by
+    the kernel's rule. The rows are disjoint, so the adds need no add.at."""
+    m, k = x.shape
+    if _by_sort(m, k):
+        acc += _stable_ranks(x)
+        return
+    for i, j in combinations(range(k), 2):
+        # lo wins only when strictly greater: a tie goes to hi, the later position
+        wins = x[:, i] > x[:, j]
+        acc[:, i] += wins
+        acc[:, j] += ~wins
+
+
+def _cross_run(acc: np.ndarray, x: np.ndarray, d: int, D: int) -> None:
+    """The D levels of cross comparators v(j, k) of factor d, as compares of
+    the keys viewed as (N/(dD), dD): rows of d blocks of D.
+
+    Every pair of positions in two different blocks i < i' of D of one row
+    lies in exactly one of the run's comparators, and no other pair does:
+    offsets a and a' meet in v(j, k) when a' - a = k(i' - i) mod D, and
+    i' - i < d is invertible mod D. So the run's comparisons are the D x D
+    cross products of each such pair of blocks. The blocks after block i
+    are contiguous, so block i is compared with all of them at once, a tile
+    of rows, lo keys and hi keys at a time: d - 1 compares a tile, not
+    d(d-1)/2 (prime N = 81, three runs of d = 3, took 0.18 ms, against
+    0.23 ms a pair of blocks at a time).
+    """
+    L = d * D
+    # a key of block i is compared with the i*D keys of the blocks before it
+    blocked = acc.reshape(-1, d, D)
+    blocked += np.arange(0, L, D)[:, None]
+    A, X = acc.reshape(-1, L), x.reshape(-1, L)
+    rows = min(D, max(1, _TILE_CELLS // (L - D)))
+    cols = _TILE_CELLS // rows
+    blocks = max(1, _TILE_CELLS // (rows * (L - D)))
+    for b in range(0, len(X), blocks):
+        for start in range(0, L - D, D):
+            for r in range(start, start + D, rows):
+                lo = np.s_[b : b + blocks, r : min(r + rows, start + D)]
+                for c in range(start + D, L, cols):
+                    hi = np.s_[b : b + blocks, c : c + cols]
+                    _wins(A[lo], X[lo], A[hi], X[hi])
+
+
+def _circle_run(acc: np.ndarray, x: np.ndarray) -> None:
+    """The binary network's rounds, which hold every pair of the N
+    positions once: a slice of rows at a time, the diagonal triangle of its
+    own pairs, then the rectangle to its right, a tile of columns at a time."""
+    n = x.size
+    rows = max(1, min(n, _TILE_CELLS // n))
+    cols = _TILE_CELLS // rows
+    upper = np.less.outer(np.arange(rows), np.arange(rows))
+    # position p is compared with the p positions before it
+    acc += np.arange(n)
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        t = slice(a, b)
+        _wins(acc[t], x[t], acc[t], x[t], upper[: b - a, : b - a])
+        for c in range(b, n, cols):
+            _wins(acc[t], x[t], acc[c : c + cols], x[c : c + cols])
 
 
 @dataclass

@@ -30,9 +30,9 @@ is allocated.
 Each builder's network is one list of runs of levels (_runs), each run with
 the writer of its rows: the block rows w(j), the cross rows v(j, k) for a
 run of k, or the circle method's columns for a run of rounds. The builders
-call each writer once, on its run's row range of its arity group; _steps
-calls the same writers on one small buffer per arity and yields the rows a
-chunk at a time, for engine.rank, which ranks without building a network.
+call each writer once, on its run's row range of its arity group.
+engine.rank, which ranks without building a network, reads the same runs
+and takes each run's kind from the writer it names.
 
 Networks never move data: every comparator emits local stable ranks and the
 engine adds them into a global accumulator.
@@ -509,50 +509,6 @@ def _circle_rounds(rows: np.ndarray, first: int, stop: int, c: int, p: int, hub:
     down = np.ndarray((stop - first, p), np.int64, period, 8 * max(p - 1, 0), (8, -8))
     np.minimum(up, down, out=lo[:, hub:])
     np.maximum(up, down, out=hi[:, hub:])
-
-
-# Most indices one buffer of _steps holds, unless one level holds more.
-# Replaying rounds of the benchmark's sort_cold grid (N = 8 to 1024) in one
-# process, 2**12 took 1.9x as long as 2**17, 2**14 1.15x and 2**18 1.05x;
-# 2**15 to 2**17 were level. Prime N = 16384 took 2.0-2.5 s at 2**14 and
-# 1.4-1.9 s at 2**16 to 2**18.
-_STREAM_INDICES = 2**17
-
-
-def _steps(n: int, builder: Builder):
-    """The comparators of build_network(n, builder), in (R, k) column-major
-    chunks of rows of one arity, without building the network.
-
-    Each arity has one buffer of at most max(_STREAM_INDICES, N) indices,
-    allocated once. The runs of that arity are written into it by the
-    writers the builders use, consecutive levels coalesced across runs and
-    steps, and each full buffer is yielded, so a chunk is overwritten by the
-    next of its arity: use it before asking for the next. A level is never
-    split, and one level of arity k holds N/k rows of k indices. n >= 2.
-    """
-    runs = _runs(n, builder)
-    total: dict[int, int] = {}
-    for k, levels, m, _ in runs:
-        total[k] = total.get(k, 0) + levels * m
-    buffers = {
-        k: np.empty((k, min(t, max(_STREAM_INDICES, n) // k)), dtype=np.int64).T
-        for k, t in total.items()
-    }
-    fill = dict.fromkeys(total, 0)
-    for k, levels, m, write in runs:
-        buf = buffers[k]
-        first = 0
-        while first < levels:
-            if fill[k] + m > len(buf):
-                yield buf[: fill[k]]
-                fill[k] = 0
-            stop = min(levels, first + (len(buf) - fill[k]) // m)
-            write(buf[fill[k] : fill[k] + (stop - first) * m], first, stop)
-            fill[k] += (stop - first) * m
-            first = stop
-    for k, buf in buffers.items():
-        if fill[k]:
-            yield buf[: fill[k]]
 
 
 def build_network(n: int, builder: Builder | str) -> Network:

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from itertools import permutations
 
@@ -108,36 +109,62 @@ class TestExecute:
 
 
 class TestRank:
-    # 1 index: one level per chunk; 100: chunks that end inside a run and
-    # hold levels of several runs; the default: one chunk per arity
-    @pytest.mark.parametrize("indices", [1, 100, netbuild._STREAM_INDICES])
-    def test_equals_execute(self, monkeypatch, indices):
-        monkeypatch.setattr(netbuild, "_STREAM_INDICES", indices)
-        rng = np.random.default_rng(indices)
+    # 1 cell: tiles of one key against one, up to N = 64 for time; 7: tiles
+    # that split a block's keys and the keys after it; the default: tiles
+    # of whole blocks, and of several rows of small blocks
+    @pytest.mark.parametrize("cells", [1, 7, engine._TILE_CELLS])
+    def test_equals_execute(self, monkeypatch, cells):
+        monkeypatch.setattr(engine, "_TILE_CELLS", cells)
+        rng = np.random.default_rng(cells)
         assert rank([7], "binary").tolist() == [0]
-        for n in range(2, 129):
+        for n in range(2, 65 if cells == 1 else 129):
             x = rng.integers(0, max(n // 8, 2), n)  # many ties
             for builder in Builder:
                 expect = execute(build_network(n, builder), x)
                 got = rank(x, builder)
                 assert got.dtype == expect.dtype and np.array_equal(got, expect), (n, builder)
 
-    def test_chunks_are_the_network(self, monkeypatch):
-        # every comparator of the built network, in chunks of one arity; in
-        # order, so each arity's chunks make up its group. 1 index: one level
-        # per chunk; 81, 243, 576 and 972 hold many blocks of small D
-        for indices in (1, 100):
-            monkeypatch.setattr(netbuild, "_STREAM_INDICES", indices)
-            for n in (2, 9, 12, 30, 64, 81, 105, 243, 576, 972):
+    @pytest.mark.parametrize("cells", [7, engine._TILE_CELLS])
+    def test_compares_each_pair_once(self, monkeypatch, cells):
+        # the positions compared, recorded at rank's two compares with keys
+        # that are their own positions: a built network's pairs, each once.
+        # 81, 243, 576 and 972 hold many blocks of small D
+        monkeypatch.setattr(engine, "_TILE_CELLS", cells)
+        pairs = []
+
+        def wins(acc_lo, x_lo, acc_hi, x_hi, upper=None):
+            lo, hi = np.broadcast_arrays(x_lo[..., :, None], x_hi[..., None, :])
+            met = np.ones(lo.shape, dtype=bool) if upper is None else np.broadcast_to(upper, lo.shape)
+            pairs.append(np.stack([lo[met], hi[met]], axis=1))
+            compare(acc_lo, x_lo, acc_hi, x_hi, upper)
+
+        def rank_rows(acc, x):
+            pairs.extend(x[:, [i, j]] for i, j in itertools.combinations(range(x.shape[1]), 2))
+            sort_rows(acc, x)
+
+        compare, sort_rows = engine._wins, engine._rank_rows
+        monkeypatch.setattr(engine, "_wins", wins)
+        monkeypatch.setattr(engine, "_rank_rows", rank_rows)
+        sizes = (2, 9, 12, 30, 64, 81, 105, 243, 576, 972) if cells > 7 else (2, 9, 12, 30, 64, 81, 105)
+        for n in sizes:
+            for builder in Builder:
+                pairs.clear()
+                assert np.array_equal(rank(np.arange(n), builder), np.arange(n))
+                got = np.concatenate(pairs)
+                assert (got[:, 0] < got[:, 1]).all() and len(got) == n * (n - 1) // 2
+                groups = build_network(n, builder).arity_groups()
+                expect = [g[:, [i, j]] for k, g in groups.items() for i, j in itertools.combinations(range(k), 2)]
+                codes = [np.sort(p[:, 0] * n + p[:, 1]) for p in (got, np.concatenate(expect))]
+                assert np.array_equal(*codes), (n, builder)
+
+    def test_strided_keys(self):
+        # reversed, every other and a column: views that no reshape can keep
+        rng = np.random.default_rng(5)
+        for n in (2, 9, 30, 81, 105, 243, 576):
+            table = rng.integers(0, max(n // 4, 2), (2 * n, 3))
+            for x in (table[::-1, 0][:n], table[::2, 1], table[:n, 2], rng.standard_normal(2 * n)[::-2]):
                 for builder in Builder:
-                    groups = build_network(n, builder).arity_groups()
-                    streamed = {}
-                    for chunk in netbuild._steps(n, builder):
-                        assert chunk.size <= max(indices, n)
-                        streamed.setdefault(chunk.shape[1], []).append(chunk.copy())
-                    assert sorted(streamed) == sorted(groups)
-                    for k, chunks in streamed.items():
-                        assert np.array_equal(np.concatenate(chunks), groups[k]), (indices, n, builder, k)
+                    assert np.array_equal(rank(x, builder), stable_rank(x)), (n, builder)
 
     def test_large_n_against_stable_rank(self):
         # prime N = 16384 holds about 2**31 bytes of indices, at the group budget
@@ -146,7 +173,7 @@ class TestRank:
 
     def test_no_group_is_allocated(self, monkeypatch):
         # a budget that no group of N = 60 fits stands in for a network too
-        # large to build; the stream never sizes a group
+        # large to build; rank never sizes a group
         monkeypatch.setattr(netbuild, "_CHECK_BYTES", 100)
         x = np.random.default_rng(60).integers(0, 10, 60)
         for builder in Builder:

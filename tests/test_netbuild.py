@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ranknet import netbuild
+from ranknet import engine, netbuild
 from ranknet import (
     Builder,
     Comparator,
@@ -570,7 +570,11 @@ class TestWriters:
     @pytest.mark.parametrize("builder", list(Builder))
     def test_temporaries_stay_small(self, monkeypatch, builder):
         # at most 64 KiB above the arrays written, under glibc's 128 KiB mmap
-        # threshold: each writer call of a build, and the whole stream. A
+        # threshold, for each writer call of a build; and engine.rank, which
+        # writes no index, within its ranks and a row sort's two int64
+        # arrays, 24 bytes a key, plus 256 KiB for a tile, its sums and the
+        # circle run's triangle mask (the stream it replaced peaked at
+        # 1.2-2.2 MiB at N = 972 and 16384). A
         # ufunc that broadcasts or writes a strided view takes up to one
         # buffer of numpy's buffer size per operand, 64 KiB each by default
         # and never mapped; shrunk to 8 KiB here, they leave the peak to
@@ -593,12 +597,13 @@ class TestWriters:
                 m.setattr(netbuild, "_runs", lambda n, b: [(*run[:3], traced(run[3])) for run in runs(n, b)])
                 for n in SORT_COLD_SIZES:
                     build_network(n, builder)
-            for n in SORT_COLD_SIZES:
+            for n in (*SORT_COLD_SIZES, 16384):
+                x = np.random.default_rng(n).integers(0, 100, n)
                 before = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                buffers = {id(chunk.base): chunk.base.nbytes for chunk in netbuild._steps(n, builder)}
-                above = tracemalloc.get_traced_memory()[1] - before - sum(buffers.values())
-                assert above <= 2**16, (n, above)
+                engine.rank(x, builder)
+                peak = tracemalloc.get_traced_memory()[1] - before
+                assert peak <= 24 * n + 2**18, (n, peak)
         finally:
             tracemalloc.stop()
             np.setbufsize(bufsize)
