@@ -1,6 +1,5 @@
-import itertools
 import tracemalloc
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -139,7 +138,7 @@ class TestRank:
             compare(acc_lo, x_lo, acc_hi, x_hi, upper)
 
         def rank_rows(acc, x):
-            pairs.extend(x[:, [i, j]] for i, j in itertools.combinations(range(x.shape[1]), 2))
+            pairs.extend(x[:, [i, j]] for i, j in combinations(range(x.shape[1]), 2))
             sort_rows(acc, x)
 
         compare, sort_rows = engine._wins, engine._rank_rows
@@ -153,12 +152,13 @@ class TestRank:
                 got = np.concatenate(pairs)
                 assert (got[:, 0] < got[:, 1]).all() and len(got) == n * (n - 1) // 2
                 groups = build_network(n, builder).arity_groups()
-                expect = [g[:, [i, j]] for k, g in groups.items() for i, j in itertools.combinations(range(k), 2)]
+                expect = [g[:, [i, j]] for k, g in groups.items() for i, j in combinations(range(k), 2)]
                 codes = [np.sort(p[:, 0] * n + p[:, 1]) for p in (got, np.concatenate(expect))]
                 assert np.array_equal(*codes), (n, builder)
 
     def test_strided_keys(self):
-        # reversed, every other and a column: views that no reshape can keep
+        # keys that are not one contiguous array: reversed, every other, a
+        # column of a 2-D array, and reversed every other
         rng = np.random.default_rng(5)
         for n in (2, 9, 30, 81, 105, 243, 576):
             table = rng.integers(0, max(n // 4, 2), (2 * n, 3))
