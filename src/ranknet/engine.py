@@ -24,14 +24,13 @@ not (DimensionError if the check's pair bitmap would exceed its budget).
 
 ``rank(x, builder)`` gives the same result as executing the builder's
 network, without building it or writing a single index. It reads the runs
-of levels the builder's network is made of (netbuild._runs) and makes each
-run's comparisons as dense compares of contiguous blocks of keys. A block
-run of f-ary comparators w(j) ranks the rows of x viewed as (N/f, f) by
-the kernel's rule. A cross run compares every key of each block of D with
-every key of the later blocks of its block of dD, which are exactly the
-pairs of its comparators. The binary network's circle run compares every
-pair. A compare is one boolean tile of at most _TILE_CELLS key pairs, so
-memory stays O(N) plus a tile.
+of levels the builder's network is made of (netbuild._runs), and takes
+each run by its kind. A block run of f-ary comparators w(j) is one stable
+argsort of the rows of x viewed as (N/f, f), and its inverse. A cross run
+compares every key of each block of D with every key of the later blocks
+of its block of dD, which are exactly the pairs of its comparators. The
+binary network's circle run compares every pair. A compare is one boolean
+tile of at most _TILE_CELLS key pairs, so memory stays O(N) plus a tile.
 
 ``partial_rank_table`` keeps each level's partial ranks apart, as the rows
 of one (L, N) array. A batch of consecutive levels of one arity goes
@@ -85,13 +84,10 @@ _BATCH_ROWS = 8192
 # ternary rows 17 and 27 us. Geometric mean over the sizes of the
 # execute_warm grid of each size's median execute time, against no
 # threshold, at 16/32/64/128 rows: 0.932/0.912/0.911/0.943 (2-core host).
-# rank's block runs take the same rule.
+# rank sorts every block run, whose rows are disjoint and need no scatter:
+# prime N = 972, 324 ternary rows, ranked in 1.05 ms sorted and 1.06 ms by
+# pair wins (medians of 41 interleaved calls, 2-core host).
 _SORT_ROWS = 32
-
-
-def _by_sort(m: int, k: int) -> bool:
-    """Whether m comparators of arity k are ranked by sorting, not by pair wins."""
-    return k > _PAIR_WIN_MAX_ARITY or m < _SORT_ROWS
 
 
 def _stable_ranks(keys: np.ndarray) -> np.ndarray:
@@ -102,7 +98,7 @@ def _stable_ranks(keys: np.ndarray) -> np.ndarray:
 def _accumulate(acc: np.ndarray, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Add the stable local ranks of the comparators idx (m, k) into acc."""
     m, k = idx.shape
-    by_sort = _by_sort(m, k)
+    by_sort = k > _PAIR_WIN_MAX_ARITY or m < _SORT_ROWS
     for start in range(0, m, _BATCH_ROWS):
         rows = idx[start : start + _BATCH_ROWS]
         if by_sort:
@@ -148,8 +144,9 @@ def rank(x, builder: Builder | str) -> np.ndarray:
     """The stable rank of x by the builder's network on len(x) positions,
     without building it: exactly execute(build_network(len(x), builder), x).
 
-    Each run of the network's levels makes its comparisons as dense compares
-    of contiguous blocks of keys (see _wins), each pair of positions once, so
+    Each run of the network's levels makes its comparisons on contiguous
+    blocks of keys, each pair of positions once: the block run by sorting
+    its rows, the cross and circle runs by dense compares (see _wins). So
     memory is O(N) plus one tile of at most _TILE_CELLS key pairs, never the
     network, and no group budget applies. Builder output is exact by
     construction, so no pair check runs. One key has rank 0.
@@ -158,14 +155,12 @@ def rank(x, builder: Builder | str) -> np.ndarray:
     builder = _builder(builder)
     acc = np.zeros(a.size, dtype=np.int64)
     if a.size > 1:
-        for k, levels, m, write in _runs(a.size, builder):
-            # the run's kind is the writer it names
-            rule = getattr(write, "func", write)
-            if rule is netbuild._block_rows:
-                _rank_rows(acc.reshape(m, k), a.reshape(m, k))
-            elif rule is netbuild._cross_rows:
+        for kind, k, levels, m in _runs(a.size, builder):
+            if kind == "block":
+                acc += _stable_ranks(a.reshape(m, k)).ravel()
+            elif kind == "cross":
                 _cross_run(acc, a, k, levels)
-            else:  # the circle method's rounds
+            else:
                 _circle_run(acc, a)
     return acc
 
@@ -183,7 +178,7 @@ _TILE_CELLS = 2**16
 def _wins(acc_lo, x_lo, acc_hi, x_hi, upper: np.ndarray | None = None) -> None:
     """Compare every key of each row of x_lo (..., r) with every key of the
     same row of x_hi (..., c): the compare of rank's cross and circle runs
-    (block runs go by _rank_rows). Adds each lo key's wins into the same
+    (a block run is sorted). Adds each lo key's wins into the same
     place of acc_lo and takes each hi key's losses from acc_hi. The caller
     adds to each key the number of keys before it that it is compared with,
     so that a hi key's wins are that number less its losses.
@@ -201,21 +196,6 @@ def _wins(acc_lo, x_lo, acc_hi, x_hi, upper: np.ndarray | None = None) -> None:
     # summing booleans into int32 took half as long as into int64
     acc_lo += wins.sum(axis=-1, dtype=np.int32)
     acc_hi -= wins.sum(axis=-2, dtype=np.int32)
-
-
-def _rank_rows(acc: np.ndarray, x: np.ndarray) -> None:
-    """Add the stable ranks of each row of x (m, k) into the same row of acc:
-    a block run, m comparators w(j) on disjoint contiguous positions, by
-    the kernel's rule. The rows are disjoint, so the adds need no add.at."""
-    m, k = x.shape
-    if _by_sort(m, k):
-        acc += _stable_ranks(x)
-        return
-    for i, j in combinations(range(k), 2):
-        # lo wins only when strictly greater: a tie goes to hi, the later position
-        wins = x[:, i] > x[:, j]
-        acc[:, i] += wins
-        acc[:, j] += ~wins
 
 
 def _cross_run(acc: np.ndarray, x: np.ndarray, d: int, D: int) -> None:

@@ -27,12 +27,13 @@ k = 0..D-1, join the blocks. A network one of whose arrays would exceed
 2**31 bytes, such as binary for N > 16384, raises DimensionError before it
 is allocated.
 
-Each builder's network is one list of runs of levels (_runs), each run with
-the writer of its rows: the block rows w(j), the cross rows v(j, k) for a
-run of k, or the circle method's columns for a run of rounds. The builders
-call each writer once, on its run's row range of its arity group.
-engine.rank, which ranks without building a network, reads the same runs
-and takes each run's kind from the writer it names.
+Each builder's network is one plan, a list of runs of levels (_runs), each
+run plain data (kind, k, levels, m): a block run, the one level of rows
+w(j); a cross run, the D levels of rows v(j, k) of factor d, its (k,
+levels) being (d, D); or the circle run of binary's rounds. The builders
+write each run whole, by the writer of its kind, into its row range of its
+arity group. engine.rank, which ranks without building a network, reads
+the same plan and dispatches on the same kinds.
 
 Networks never move data: every comparator emits local stable ranks and the
 engine adds them into a global accumulator.
@@ -41,13 +42,12 @@ engine adds them into a global accumulator.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import json
 import numbers
 import operator
 import re
-from collections.abc import Callable, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
@@ -146,6 +146,8 @@ def _index_array(rows) -> np.ndarray:
             f"a level must be a non-empty (m, k) integer array, got shape {a.shape}"
             f" and dtype {a.dtype}"
         )
+    if a.dtype == np.uint64 and a.max(initial=0) >= 2**63:
+        raise ValidationError(f"comparator index {a.max()} does not fit in int64")
     a = a.astype(np.int64, copy=False)
     a.flags.writeable = False
     return a
@@ -182,8 +184,8 @@ def _level_view(rows: np.ndarray) -> Level:
 
 
 def _empty_groups(n: int, shapes) -> dict[int, np.ndarray]:
-    """One writable (M, k) int64 array per arity k of the level shapes (m, k),
-    k ascending, M the rows of all levels of arity k. Each is column-major,
+    """One writable (M, k) int64 array per arity k of the shapes (m, k) of
+    levels or runs, k ascending, M the rows of all those of arity k. Each is column-major,
     the transpose of a (k, M) array, so each of its k columns is contiguous.
 
     Raises DimensionError, before allocating, when one array would take
@@ -198,8 +200,8 @@ def _empty_groups(n: int, shapes) -> dict[int, np.ndarray]:
 
 
 def _row_ranges(groups: dict[int, np.ndarray], shapes):
-    """Each level's rows, in the order of shapes: each arity's levels are
-    consecutive row ranges of its group."""
+    """The rows of each level or run, in the order of shapes: those of each
+    arity are consecutive row ranges of its group."""
     start = dict.fromkeys(groups, 0)
     for m, k in shapes:
         yield groups[k][start[k] : start[k] + m]
@@ -246,6 +248,8 @@ class Network:
 
     def __post_init__(self):
         n, builder = _gate(self.n, self.builder)
+        if not isinstance(self.levels, Iterable):
+            raise ValidationError(f"levels must be an iterable of levels, got {self.levels!r}")
         arrays = []
         for li, level in enumerate(self.levels):
             try:
@@ -360,6 +364,7 @@ def index_vector_v(j: int, k: int, d: int, D: int) -> list[int]:
     strictly increasing since consecutive elements differ by at least 1.
     The scalar form of the cross comparators that _cross_rows writes.
     """
+    j, k, d, D = map(_integer, (j, k, d, D))
     if not (0 <= j < D and 0 <= k < D):
         raise DomainError(f"j and k must lie in [0, {D}), got j={j}, k={k}")
     if d < 2:
@@ -369,6 +374,7 @@ def index_vector_v(j: int, k: int, d: int, D: int) -> list[int]:
 
 def index_vector_w(j: int, D: int, d: int | None = None) -> list[int]:
     """Contiguous block index vector [jD, jD+1, ..., jD+D-1]."""
+    j, D, d = _integer(j), _integer(D), d if d is None else _integer(d)
     if j < 0 or (d is not None and j >= d):
         raise DomainError(f"block index j={j} out of range")
     if D < 1:
@@ -413,62 +419,63 @@ def _exact(net: Network) -> Network:
 
 def _built(n: int, builder: Builder) -> Network:
     """The network of _runs(n, builder): every arity group sized from the
-    runs, then each run written straight into its row range of its group."""
+    runs, then each run written whole into its row range of its group by
+    the writer of its kind."""
     runs = _runs(n, builder)
-    shapes = []
-    for k, levels, m, _ in runs:
-        shapes += [(m, k)] * levels
-    groups = _empty_groups(n, shapes)
-    start = dict.fromkeys(groups, 0)
-    for k, levels, m, write in runs:
-        write(groups[k][start[k] : start[k] + levels * m], 0, levels)
-        start[k] += levels * m
+    blocks = [(levels * m, k) for _, k, levels, m in runs]
+    groups = _empty_groups(n, blocks)
+    for (kind, k, levels, _), rows in zip(runs, _row_ranges(groups, blocks)):
+        if kind == "block":
+            _block_rows(rows)
+        elif kind == "cross":
+            _cross_rows(rows, n, k, levels)
+        else:
+            _circle_rounds(rows, n)
+    shapes = [(m, k) for _, k, levels, m in runs for _ in range(levels)]
     return _exact(Network._from_groups(n, builder, groups, shapes))
 
 
-def _runs(n: int, builder: Builder) -> list[tuple[int, int, int, Callable]]:
+def _runs(n: int, builder: Builder) -> list[tuple[str, int, int, int]]:
     """The levels of the builder's network on n >= 2 positions, in order, as
-    runs of levels of one shape: (k, levels, m, write), where
-    write(rows, first, stop) writes levels first..stop-1 of the run, m rows
-    of arity k each, into rows, a column-major ((stop - first) * m, k) array.
+    runs of levels of one shape: (kind, k, levels, m), m rows of arity k in
+    each of the run's levels.
 
-    Binary is one run of circle-method rounds. Divisor and prime are the
-    recursion over their factor sequence, whose product is N, run from the
-    last factor f up: its block level, N/f comparators w(j) of arity f,
-    comes first. Then each earlier factor d, with D the product of the
-    factors after it, joins the d blocks of D positions in each of the
-    N/(dD) blocks of dD with D levels of N/d cross comparators v(j, k),
+    Binary is one "circle" run of the circle method's rounds. Divisor and
+    prime are the recursion over their factor sequence, whose product is N,
+    run from the last factor f up: a "block" run, its one level of N/f
+    comparators w(j) of arity f, comes first. Then each earlier factor d,
+    with D the product of the factors after it, is a "cross" run, whose
+    (k, levels) is (d, D): it joins the d blocks of D positions in each of
+    the N/(dD) blocks of dD with D levels of N/d cross comparators v(j, k),
     k = 0..D-1; a level holds block 0's comparators, then block 1's, ...
     """
     if builder == Builder.BINARY:
-        m = n + n % 2  # an odd N gets an idle slot, position m-1
-        c, p = m - 1, m // 2 - 1
-        hub = int(m == n)  # the pair of the hub m-1 and r in round r, dropped for odd N
-        return [(2, c, hub + p, functools.partial(_circle_rounds, c=c, p=p, hub=hub))]
+        # an odd N idles one position a round
+        return [("circle", 2, n - 1 + n % 2, n // 2)]
     if builder == Builder.PRIME:
         factors = ascending_factorization(n)
     else:
         d = smallest_prime_factor(n)
         factors = [d, n // d] if d < n else [d]
     *steps, f = factors
-    runs = [(f, 1, n // f, _block_rows)]
+    runs = [("block", f, 1, n // f)]
     D = f
     for d in reversed(steps):
-        runs.append((d, D, n // d, functools.partial(_cross_rows, n=n, d=d, D=D)))
+        runs.append(("cross", d, D, n // d))
         D *= d
     return runs
 
 
-def _block_rows(rows: np.ndarray, first: int, stop: int) -> None:
+def _block_rows(rows: np.ndarray) -> None:
     """The block level: row j is w(j), the positions jf..jf+f-1. Its one
     temporary holds the level's N indices: a broadcast add straight into the
     columns measured 2-3x slower on a row or two."""
     rows[...] = np.arange(rows.size).reshape(rows.shape)
 
 
-def _cross_rows(rows: np.ndarray, first: int, stop: int, n: int, d: int, D: int) -> None:
-    """Levels k = first..stop-1 of the cross step of factor d: row (k, b, j)
-    is v(j, k) in block b of dD positions.
+def _cross_rows(rows: np.ndarray, n: int, d: int, D: int) -> None:
+    """The D levels of the cross run of factor d: row (k, b, j) is v(j, k)
+    in block b of dD positions.
 
     Over j, (j + k*i) mod D is D consecutive values of t mod D from t = k*i
     on, so column i of the run is one strided view of one period, with
@@ -478,35 +485,36 @@ def _cross_rows(rows: np.ndarray, first: int, stop: int, n: int, d: int, D: int)
     first, since the stride over the levels differs per column; for d = 2
     and 3 that measured 1.2-2.3x slower.
     """
-    levels, blocks = stop - first, n // (d * D)
-    period = np.arange((stop - 1) * (d - 1) + D)
+    period = np.arange((D - 1) * (d - 1) + D)
     period %= D
     shift = np.arange(0, n, d * D)[:, None]
     # contiguous columns, so each is a (levels, blocks, D) view
-    columns = rows.T.reshape(d, levels, blocks, D)
+    columns = rows.T.reshape(d, D, n // (d * D), D)
     for i in range(d):
         # a strided view, in bytes: a fraction of sliding_window_view's cost
-        window = np.ndarray((levels, 1, D), np.int64, period, 8 * first * i, (8 * i, 0, 8))
+        window = np.ndarray((D, 1, D), np.int64, period, 0, (8 * i, 0, 8))
         np.add(window, shift + D * i, out=columns[i])
 
 
-def _circle_rounds(rows: np.ndarray, first: int, stop: int, c: int, p: int, hub: int) -> None:
-    """Rounds first..stop-1 of the circle method on c + 1 slots: round r
-    pairs the hub c with r (when hub), and (r+i) mod c with (r-i) mod c for
-    i = 1..p. Both sequences are windows over one period, r - p .. r + p
-    mod c, moving by one per round: two strided views of it, whose
-    minimum and maximum are written straight into the lo and hi columns.
+def _circle_rounds(rows: np.ndarray, n: int) -> None:
+    """The circle method's rounds on c + 1 slots, c + 1 = N rounded up to
+    even, the last slot idle for odd N: round r pairs the hub c with r
+    (for even N), and (r+i) mod c with (r-i) mod c for i = 1..p. Both
+    sequences are windows over one period, r - p .. r + p mod c, moving by
+    one per round: two strided views of it, whose minimum and maximum are
+    written straight into the lo and hi columns.
     """
+    c, hub, p = n - 1 + n % 2, 1 - n % 2, (n - 1) // 2
     # each round's lo and hi columns, as (rounds, hub + p) views of the columns of rows
-    lo, hi = (rows[:, i].reshape(stop - first, hub + p) for i in (0, 1))
+    lo, hi = (rows[:, i].reshape(c, hub + p) for i in (0, 1))
     if hub:
-        lo[:, 0] = np.arange(first, stop)
+        lo[:, 0] = np.arange(c)
         hi[:, 0] = c
-    period = np.arange(first - p, stop + p)
+    period = np.arange(-p, c + p)
     period %= c
     # strided views, in bytes; for p = 0 (N < 4) both are empty
-    up = np.ndarray((stop - first, p), np.int64, period, 8 * (p + 1), (8, 8))
-    down = np.ndarray((stop - first, p), np.int64, period, 8 * max(p - 1, 0), (8, -8))
+    up = np.ndarray((c, p), np.int64, period, 8 * (p + 1), (8, 8))
+    down = np.ndarray((c, p), np.int64, period, 8 * max(p - 1, 0), (8, -8))
     np.minimum(up, down, out=lo[:, hub:])
     np.maximum(up, down, out=hi[:, hub:])
 
@@ -889,7 +897,7 @@ def _rebuilt_network(text: str) -> Network | None:
     n, builder = int(header[1]), Builder(header[2])
     if not 2 <= n <= len(text) // 3:
         return None
-    if 3 * sum(k * levels * m for k, levels, m, _ in _runs(n, builder)) > len(text):
+    if 3 * sum(k * levels * m for _, k, levels, m in _runs(n, builder)) > len(text):
         return None
     try:
         net = _built(n, builder)

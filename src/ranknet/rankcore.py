@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, InvalidKey
+from .errors import DimensionError, DomainError, InvalidKey
+from .netbuild import _size
 
 __all__ = [
     "stable_rank",
@@ -122,8 +123,7 @@ def delta_matrix(n: int) -> np.ndarray:
     Satisfies the recursion D_N = [[D_{N-1}, I], [0, -1^T]] with
     D_2 = [1; -1].
     """
-    if n < 2:
-        raise DimensionError(f"delta_matrix needs N >= 2, got {n}")
+    n = _size(n)
     i, j = _pairs(n)
     cols = np.arange(i.size)
     d = np.zeros((n, i.size), dtype=np.int64)
@@ -158,11 +158,21 @@ def delta_identity_check(x) -> bool:
 def integer_matrix_rank(m) -> int:
     """Exact rank of an integer matrix via fraction-free (Bareiss) elimination.
 
-    All arithmetic stays in integers; the divisions performed are exact.
+    All arithmetic stays in int64 and the divisions are exact. DomainError
+    is raised for an entry that is not an integer within int64, and for an
+    elimination step on an entry of magnitude 2**31 or more, whose products
+    could overflow.
     """
-    a = np.array(m, dtype=np.int64)
+    try:
+        a = np.array(m)
+    except ValueError:
+        raise DimensionError("a matrix needs rows of one length") from None
     if a.ndim != 2:
         raise DimensionError("rank is defined for 2-D matrices")
+    if a.size and a.dtype.kind not in "biu":
+        raise DomainError(f"entries must be integers within int64, got dtype {a.dtype}")
+    # a uint64 entry past int64 wraps to a nonzero one, refused if eliminated
+    a = a.astype(np.int64)
     rows, cols = a.shape
     r = 0
     prev = 1
@@ -177,10 +187,11 @@ def integer_matrix_rank(m) -> int:
             a[[r, p]] = a[[p, r]]
         piv = a[r, c]
         if r + 1 < rows:
+            # min and max, as np.abs(-2**63) overflows
+            if a[r:].min() <= -(2**31) or a[r:].max() >= 2**31:
+                raise DomainError("an entry of magnitude 2**31 or more could overflow int64")
             sub = a[r + 1 :]
             a[r + 1 :] = (sub * piv - np.outer(sub[:, c], a[r])) // prev
-            if np.abs(a[r + 1 :]).max(initial=0) >= 2**31:
-                raise OverflowError("entries grew beyond the safe int64 range")
         prev = piv
         r += 1
     return r

@@ -125,8 +125,8 @@ class TestRank:
 
     @pytest.mark.parametrize("cells", [7, engine._TILE_CELLS])
     def test_compares_each_pair_once(self, monkeypatch, cells):
-        # the positions compared, recorded at rank's two compares with keys
-        # that are their own positions: a built network's pairs, each once.
+        # the positions compared, recorded at rank's compares and its block
+        # run's row sort with keys that are their own positions: a built network's pairs, each once.
         # 81, 243, 576 and 972 hold many blocks of small D
         monkeypatch.setattr(engine, "_TILE_CELLS", cells)
         pairs = []
@@ -137,13 +137,14 @@ class TestRank:
             pairs.append(np.stack([lo[met], hi[met]], axis=1))
             compare(acc_lo, x_lo, acc_hi, x_hi, upper)
 
-        def rank_rows(acc, x):
-            pairs.extend(x[:, [i, j]] for i, j in combinations(range(x.shape[1]), 2))
-            sort_rows(acc, x)
+        def stable_ranks(keys):
+            # a block run's rows, sorted
+            pairs.extend(keys[:, [i, j]] for i, j in combinations(range(keys.shape[1]), 2))
+            return sort_rows(keys)
 
-        compare, sort_rows = engine._wins, engine._rank_rows
+        compare, sort_rows = engine._wins, engine._stable_ranks
         monkeypatch.setattr(engine, "_wins", wins)
-        monkeypatch.setattr(engine, "_rank_rows", rank_rows)
+        monkeypatch.setattr(engine, "_stable_ranks", stable_ranks)
         sizes = (2, 9, 12, 30, 64, 81, 105, 243, 576, 972) if cells > 7 else (2, 9, 12, 30, 64, 81, 105)
         for n in sizes:
             for builder in Builder:

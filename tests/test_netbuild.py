@@ -174,6 +174,19 @@ class TestIndexVectors:
         with pytest.raises(DomainError):
             index_vector_w(2, 3, d=2)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: index_vector_w(0.5, 3),
+            lambda: index_vector_v(0, 0, 2.5, 3),
+            lambda: index_vector_v(0.5, 0, 2, 3),  # gave [0.5, 3.5]
+        ],
+        ids=["w-j", "v-d", "v-j"],
+    )
+    def test_take_integers(self, call):
+        with pytest.raises(DimensionError):
+            call()
+
 
 class TestDivisorNetwork:
     def test_n6_shape(self):
@@ -499,6 +512,15 @@ class TestValidation:
             with pytest.raises(ValidationError):
                 Network(5, levels, Builder.DIVISOR)
 
+    def test_rejects_levels_that_are_no_sequence(self):
+        with pytest.raises(ValidationError, match="levels must be"):
+            Network(2, 5, "binary")
+
+    def test_rejects_unsigned_index_past_int64(self):
+        # cast to int64, the index wrapped to -2**63
+        with pytest.raises(ValidationError, match="does not fit in int64"):
+            Level(np.array([[0, 2**63]], dtype=np.uint64))
+
     def test_rejects_bad_builder_entry(self):
         for n, builder, error in (
             (5, "bogus", ValidationError),
@@ -579,14 +601,13 @@ class TestWriters:
         # buffer of numpy's buffer size per operand, 64 KiB each by default
         # and never mapped; shrunk to 8 KiB here, they leave the peak to
         # the writers' own temporaries
-        runs = netbuild._runs
         peaks = []
 
         def traced(write):
-            def call(rows, first, stop):
+            def call(rows, *run):
                 before = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                write(rows, first, stop)
+                write(rows, *run)
                 peaks.append((tracemalloc.get_traced_memory()[1] - before, write))
             return call
 
@@ -594,7 +615,8 @@ class TestWriters:
         tracemalloc.start()
         try:
             with monkeypatch.context() as m:
-                m.setattr(netbuild, "_runs", lambda n, b: [(*run[:3], traced(run[3])) for run in runs(n, b)])
+                for name in ("_block_rows", "_cross_rows", "_circle_rounds"):
+                    m.setattr(netbuild, name, traced(getattr(netbuild, name)))
                 for n in SORT_COLD_SIZES:
                     build_network(n, builder)
             for n in (*SORT_COLD_SIZES, 16384):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ranknet import (
     DimensionError,
+    DomainError,
     InvalidKey,
     comparison_matrix,
     delta_identity_check,
@@ -146,6 +147,41 @@ class TestDeltaMatrix:
     def test_rejects_small_n(self):
         with pytest.raises(DimensionError):
             delta_matrix(1)
+
+    @pytest.mark.parametrize("n", [2.5, "3"])
+    def test_takes_n_as_integer(self, n):
+        with pytest.raises(DimensionError):
+            delta_matrix(n)
+
+
+class TestIntegerMatrixRank:
+    def test_examples(self):
+        assert integer_matrix_rank([[1, 2], [2, 4]]) == 1
+        assert integer_matrix_rank([[0, 1], [1, 0]]) == 2
+        assert integer_matrix_rank(np.eye(3, dtype=bool)) == 3
+        assert integer_matrix_rank(np.array([[2**63]], dtype=np.uint64)) == 1
+        assert integer_matrix_rank([[]]) == 0
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            # determinant 2**64: the int64 products of elimination overflowed
+            # to rank 1
+            [[-4294967296, -4294967296], [-2, -4294967298]],
+            # the truncated floats had rank 2, the matrix has rank 1
+            [[0.5, 1], [1, 2]],
+            # raw ValueError
+            [["a"]],
+            # an entry past 2**63: raw OverflowError
+            [[2**63, 0], [0, 1]],
+            # entries that grow past 2**31 in elimination: raw OverflowError
+            [[2**30, 1, 0], [1, 2**30, 0], [0, 0, 1]],
+        ],
+        ids=["overflow", "float", "text", "past-int64", "growth"],
+    )
+    def test_refuses_what_it_cannot_rank_exactly(self, m):
+        with pytest.raises(DomainError):
+            integer_matrix_rank(m)
 
 
 class TestHalfVectorize:
