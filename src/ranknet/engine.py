@@ -33,10 +33,11 @@ binary network's circle run compares every pair. A compare is one boolean
 tile of at most _TILE_CELLS key pairs, so memory stays O(N) plus a tile.
 
 ``partial_rank_table`` keeps each level's partial ranks apart, as the rows
-of one (L, N) array. A batch of consecutive levels of one arity goes
-through the same kernel at once: each level's positions are shifted by N
-times its place in the batch, so the batch's rows of the array are one
-accumulator, and the keys are read from x tiled once to a batch's length.
+of one (L, N) array. A batch of consecutive levels of one arity, as
+netbuild's level check walks them (netbuild._level_batches), goes through
+the same kernel at once: each level's positions are shifted by N times its
+place in the batch, so the batch's rows of the array are one accumulator,
+and the keys are read from x tiled to the largest batch's length.
 """
 
 from __future__ import annotations
@@ -49,8 +50,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionError, PermutationError
-from . import netbuild
-from .netbuild import Builder, Network, _builder, _level_runs, _require_valid, _runs
+from .netbuild import Builder, Network, _builder, _level_batches, _require_valid, _runs
 from .rankcore import as_keys
 
 __all__ = [
@@ -259,27 +259,17 @@ class PartialRankTable:
 def partial_rank_table(net: Network, x) -> PartialRankTable:
     """One partial-rank column per level, plus their sum (the permutation).
 
-    The columns are row views of one (L, N) array, filled a batch of at
-    most max(1, netbuild._LEVEL_SLOTS // N) consecutive levels of one arity
-    at a time, each batch by one _accumulate.
+    The columns are row views of one (L, N) array, filled a batch of
+    netbuild._level_batches at a time, each batch by one _accumulate.
     """
     a = _keys(net, x)
     n = net.n
     levels = np.zeros((len(net.levels), n), dtype=np.int64)
-    per = max(1, netbuild._LEVEL_SLOTS // n)
-    tiled = np.tile(a, min(per, len(net.levels)))
-    li = 0
-    for k, first, counts in _level_runs(net):
-        group = net.arity_groups()[k]
-        for at in range(0, len(counts), per):
-            batch = counts[at : at + per]
-            rows = group[first : first + sum(batch)]
-            shift = np.repeat(np.arange(0, len(batch) * n, n), batch)
-            # column-major like rows, so each column stays contiguous
-            idx = (rows.T + shift).T
-            _accumulate(levels[li : li + len(batch)].reshape(-1), tiled[: len(batch) * n], idx)
-            first += len(rows)
-            li += len(batch)
+    tiled = a[:0]
+    for first, count, idx in _level_batches(net, n):
+        if tiled.size < count * n:
+            tiled = np.tile(a, count)
+        _accumulate(levels[first : first + count].reshape(-1), tiled, idx)
     columns = [(f"L{i}(C{level.arity})", col) for i, (level, col) in enumerate(zip(net.levels, levels))]
     return PartialRankTable(n, columns, levels.sum(axis=0))
 

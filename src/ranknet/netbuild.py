@@ -220,6 +220,24 @@ def _level_runs(net: Network):
         start[k] += sum(counts)
 
 
+def _level_batches(net: Network, stride: int):
+    """The levels of net in order, as batches of at most
+    max(1, _LEVEL_SLOTS // stride) consecutive levels of one arity: (the
+    batch's first level, its level count, its rows with stride times each
+    level's place in the batch added, column-major like the groups). With
+    every position below stride, each level of a batch has its own slots."""
+    li = 0
+    for k, first, counts in _level_runs(net):
+        per = max(1, _LEVEL_SLOTS // stride)
+        for at in range(0, len(counts), per):
+            batch = counts[at : at + per]
+            rows = net.arity_groups()[k][first : first + sum(batch)]
+            shift = np.repeat(np.arange(0, len(batch) * stride, stride), batch)
+            yield li, len(batch), (rows.T + shift).T
+            first += len(rows)
+            li += len(batch)
+
+
 @dataclass(frozen=True, eq=False)
 class Network:
     """An immutable comparator network on N positions.
@@ -556,11 +574,12 @@ def validate_network(net: Network) -> ValidationReport:
     return ValidationReport(not v, v)
 
 
-# Most slots one batch takes: levels times span in a bitmap of
-# _level_violations, levels times N in engine.partial_rank_table, and
-# indices in a batch of network_to_json. Formatting binary N = 512 at 2**12
-# to 2**17 indices a batch took the same time; from 2**17 on, a batch's
-# temporaries outgrew the text and raised its peak memory.
+# Most slots one batch takes: levels times stride in a batch of
+# _level_batches (the span of _level_violations' bitmap, N in
+# engine.partial_rank_table), and indices in a batch of network_to_json.
+# Formatting binary N = 512 at 2**12 to 2**17 indices a batch took the same
+# time; from 2**17 on, a batch's temporaries outgrew the text and raised its
+# peak memory.
 _LEVEL_SLOTS = 2**16
 
 
@@ -573,47 +592,36 @@ def _repeats(codes: np.ndarray) -> np.ndarray:
 def _level_violations(net: Network, shapes) -> list[str]:
     """Overlap lines, then coverage lines for divisor and prime, for every level.
 
-    A batch of levels of one arity group at a time, at most _LEVEL_SLOTS
-    slots or one level, as codes level * span + position, span one past the
-    largest position named. When the batch fits, a bitmap passes it if its
-    codes set as many bits as there are codes. Otherwise the batch's sorted
-    codes give its repeats, so no array is sized by span; only levels with
-    a repeat are gone through one by one. Without repeats, m rows of k
-    distinct positions in [0, N) cover all N exactly when m * k = N.
+    A batch of _level_batches at a time, its codes level * span + position,
+    span one past the largest position named. When the batch fits, a bitmap
+    passes it if its codes set as many bits as there are codes. Otherwise
+    the batch's sorted codes give its repeats, so no array is sized by span;
+    only levels with a repeat are gone through one by one. Without repeats,
+    m rows of k distinct positions in [0, N) cover all N exactly when
+    m * k = N.
     """
     n = net.n
     # rows increase, so each group's largest position is in its last column
-    span = 1 + max((int(idx[:, -1].max()) for idx in net.arity_groups().values()), default=-1)
-    per = max(1, _LEVEL_SLOTS // max(span, 1))
-    level_ids: dict[int, list[int]] = {k: [] for k in net.arity_groups()}
-    for li, (_, k) in enumerate(shapes):
-        level_ids[k].append(li)
+    span = 1 + max((int(idx[:, -1].max()) for idx in net.arity_groups().values()), default=0)
     distinct = [m * k for m, k in shapes]
-    overlaps = {}
-    for k, g in net.arity_groups().items():
-        m = np.array([shapes[li][0] for li in level_ids[k]])
-        ends = np.cumsum(m)
-        for first in range(0, len(m), per):
-            stop = min(first + per, len(m))
-            level = np.repeat(np.arange(stop - first) * span, m[first:stop])
-            codes = (g[ends[first] - m[first] : ends[stop - 1]] + level[:, None]).ravel(order="K")
-            if span <= _LEVEL_SLOTS:
-                # about five times faster than sorting, for a batch that passes
-                seen = np.zeros((stop - first) * span, dtype=bool)
-                seen[codes] = True
-                if np.count_nonzero(seen) == codes.size:
-                    continue
-            repeated = _repeats(codes)
-            if repeated.size:
-                lost = np.bincount(repeated // span)
-                # the distinct repeated codes, split into their levels
-                codes = np.unique(repeated)
-                for part in np.split(codes, np.flatnonzero(np.diff(codes // span)) + 1):
-                    at = int(part[0]) // span
-                    li = level_ids[k][first + at]
-                    distinct[li] -= int(lost[at])
-                    overlaps[li] = f"level {li}: comparators overlap at {(part - at * span).tolist()}"
-    v = [overlaps[li] for li in sorted(overlaps)]
+    v = []
+    for first, count, codes in _level_batches(net, span):
+        codes = codes.ravel(order="K")
+        if span <= _LEVEL_SLOTS:
+            # about five times faster than sorting, for a batch that passes
+            seen = np.zeros(count * span, dtype=bool)
+            seen[codes] = True
+            if np.count_nonzero(seen) == codes.size:
+                continue
+        repeated = _repeats(codes)
+        if repeated.size:
+            lost = np.bincount(repeated // span)
+            # the distinct repeated codes, split into their levels
+            codes = np.unique(repeated)
+            for part in np.split(codes, np.flatnonzero(np.diff(codes // span)) + 1):
+                at = int(part[0]) // span
+                distinct[first + at] -= int(lost[at])
+                v.append(f"level {first + at}: comparators overlap at {(part - at * span).tolist()}")
     if net.builder in (Builder.DIVISOR, Builder.PRIME):
         v += [f"level {li}: does not cover all {n} positions" for li, c in enumerate(distinct) if c < n]
     return v
