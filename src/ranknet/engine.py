@@ -49,8 +49,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DimensionError, PermutationError
-from .netbuild import Builder, Network, _builder, _level_batches, _require_valid, _runs
+from .errors import DimensionError, PermutationError, ValidationError
+from .netbuild import Builder, Network, _builder, _level_batches, _network, _require_valid, _runs
 from .rankcore import as_keys
 
 __all__ = [
@@ -116,6 +116,7 @@ def _accumulate(acc: np.ndarray, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 def _keys(net: Network, x) -> np.ndarray:
     """The keys of x for net: the one entry of execute and partial_rank_table."""
+    _network(net)
     a = as_keys(x)
     if a.size != net.n:
         raise DimensionError(f"input length {a.size} != network size {net.n}")
@@ -276,6 +277,8 @@ def partial_rank_table(net: Network, x) -> PartialRankTable:
 
 def table_to_csv(table: PartialRankTable, x=None) -> str:
     """CSV layout mirroring the partial-rank tables: row per position."""
+    if not isinstance(table, PartialRankTable):
+        raise ValidationError(f"expected a PartialRankTable, got {type(table).__name__}")
     if x is not None and len(x) != table.n:
         raise DimensionError(f"x has length {len(x)}, table has {table.n} rows")
     buf = io.StringIO()
@@ -292,8 +295,10 @@ def table_to_csv(table: PartialRankTable, x=None) -> str:
 
 def apply_permutation(x, pi) -> np.ndarray:
     """Scatter x into sorted order: result[pi[i]] = x[i]."""
-    a = np.asarray(x)
-    p = np.asarray(pi)
+    try:
+        a, p = np.asarray(x), np.asarray(pi)
+    except ValueError:
+        raise DimensionError("x and pi must be 1-D of equal length, got a ragged sequence") from None
     if a.ndim != 1 or p.shape != a.shape:
         raise DimensionError("x and pi must be 1-D of equal length")
     if p.dtype.kind not in "iu":

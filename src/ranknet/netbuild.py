@@ -35,6 +35,11 @@ write each run whole, by the writer of its kind, into its row range of its
 arity group. engine.rank, which ranks without building a network, reads
 the same plan and dispatches on the same kinds.
 
+A network's levels are walked one way, in batches of consecutive levels of
+one arity, each level's positions shifted by a stride times its place in
+the batch (_level_batches): the level check of validate_network reads its
+overlap codes from them, and engine.partial_rank_table its accumulator rows.
+
 Networks never move data: every comparator emits local stable ranks and the
 engine adds them into a global accumulator.
 """
@@ -117,6 +122,15 @@ class Comparator:
         return len(self.indices)
 
 
+def _past_int64(rows):
+    """The first integer of rows, a sequence of rows, outside int64, or None.
+    numpy holds such an integer beside others as a float or an object."""
+    for v in itertools.chain.from_iterable(rows):
+        if isinstance(v, numbers.Integral) and not -(2**63) <= v < 2**63:
+            return v
+    return None
+
+
 def _index_array(rows) -> np.ndarray:
     """A level as a read-only (m, k) int64 array with m >= 1: a Level, an
     integer array, Comparator objects, or rows of integers.
@@ -129,8 +143,7 @@ def _index_array(rows) -> np.ndarray:
         a = rows.view()
     else:
         try:
-            if rows and isinstance(rows[0], Comparator):
-                rows = [c.indices for c in rows]
+            rows = [c.indices if isinstance(c, Comparator) else c for c in rows]
             types = set(map(type, itertools.chain.from_iterable(rows)))
         except (TypeError, AttributeError) as exc:
             raise ValidationError(f"a comparator is not a list of indices: {exc}") from None
@@ -141,6 +154,9 @@ def _index_array(rows) -> np.ndarray:
             a = np.array(rows)
         except ValueError:
             raise ValidationError("comparators of one level must have one arity") from None
+        big = _past_int64(rows) if a.dtype.kind in "fO" else None
+        if big is not None:
+            raise ValidationError(f"comparator index {big} does not fit in int64")
     if a.ndim != 2 or a.shape[0] == 0 or a.dtype.kind not in "iu":
         raise ValidationError(
             f"a level must be a non-empty (m, k) integer array, got shape {a.shape}"
@@ -318,6 +334,12 @@ class Network:
         return self._groups
 
 
+def _network(net) -> None:
+    """ValidationError when net is not a Network."""
+    if not isinstance(net, Network):
+        raise ValidationError(f"expected a Network, got {type(net).__name__}")
+
+
 # ---------------------------------------------------------------------------
 # number theory helpers
 
@@ -387,6 +409,8 @@ def index_vector_v(j: int, k: int, d: int, D: int) -> list[int]:
         raise DomainError(f"j and k must lie in [0, {D}), got j={j}, k={k}")
     if d < 2:
         raise DimensionError(f"block count d must be >= 2, got {d}")
+    # the list's array of d pointers
+    _within_budget(8 * d, d)
     return [(j + k * i) % D + D * i for i in range(d)]
 
 
@@ -397,6 +421,7 @@ def index_vector_w(j: int, D: int, d: int | None = None) -> list[int]:
         raise DomainError(f"block index j={j} out of range")
     if D < 1:
         raise DimensionError(f"block size D must be >= 1, got {D}")
+    _within_budget(8 * D, D)
     return list(range(j * D, (j + 1) * D))
 
 
@@ -564,6 +589,7 @@ def validate_network(net: Network) -> ValidationReport:
     the right pair total would need an N*N boolean pair bitmap larger than a
     fixed budget.
     """
+    _network(net)
     v: list[str] = []
     shapes = [level.indices.shape for level in net.levels]
     if net.builder == Builder.PRIME:
@@ -637,7 +663,7 @@ _CHECK_BYTES = 2**31
 def _within_budget(nbytes: int, n: int) -> None:
     if nbytes > _CHECK_BYTES:
         raise DimensionError(
-            f"a network of N = {n} needs {nbytes} bytes in one array, more than {_CHECK_BYTES}"
+            f"N = {n} needs {nbytes} bytes in one array, more than {_CHECK_BYTES}"
         )
 
 
@@ -872,6 +898,7 @@ def network_to_json(net: Network) -> str:
     shapes exceeds the 2**31-byte budget that bounds the checks (binary N
     above 11770).
     """
+    _network(net)
     head = f'{{"n": {net.n}, "builder": {json.dumps(net.builder.value)}, "levels": ['
     # a row is '{"indices": [' and ']}, ' around its k indices, each of at
     # most `digits` digits and ', '; a level adds '[', ']' and ', '
@@ -945,6 +972,8 @@ def _network_from_doc(doc) -> Network:
     try:
         if isinstance(doc, (str, bytes)):
             doc = json.loads(doc)
+        if not isinstance(doc, Mapping):
+            raise TypeError(f"expected an object, got {type(doc).__name__}")
         n, builder = doc["n"], doc["builder"]
         levels = [list(map(_INDICES, level)) for level in doc["levels"]]
     except (KeyError, TypeError, ValueError) as exc:
@@ -959,6 +988,7 @@ def network_to_dot(net: Network) -> str:
     Each input position feeds its comparators; every comparator feeds the
     shared adder node that sums the partial ranks.
     """
+    _network(net)
     out = ["digraph ranknet {", "  rankdir=LR;"]
     out += [f'  x{i} [label="x{i}", shape=plaintext];' for i in range(net.n)]
     out.append('  adder [label="+", shape=doublecircle];')

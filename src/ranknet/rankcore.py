@@ -9,10 +9,12 @@ comparator banks whose partial ranks are simply added.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import DimensionError, DomainError, InvalidKey
-from .netbuild import _size
+from .netbuild import _past_int64, _size, _within_budget
 
 __all__ = [
     "stable_rank",
@@ -31,9 +33,15 @@ def as_keys(x) -> np.ndarray:
     """Validate and convert a key sequence to a 1-D numpy array.
 
     Keys must be finite, totally ordered scalars. NaN and infinities are
-    rejected rather than given an arbitrary ordering.
+    rejected rather than given an arbitrary ordering, and so is an integer
+    of a sequence that numpy would round to a float64: one of 2**53 or
+    more beside a decimal, or past int64 beside small integers. An ndarray
+    is taken as it is.
     """
-    a = np.asarray(x)
+    try:
+        a = np.asarray(x)
+    except ValueError:
+        raise DimensionError("expected a 1-D sequence of keys, got a ragged sequence") from None
     if a.ndim != 1:
         raise DimensionError(f"expected a 1-D sequence of keys, got shape {a.shape}")
     if a.size == 0:
@@ -41,6 +49,12 @@ def as_keys(x) -> np.ndarray:
     if a.dtype.kind == "f":
         if not np.isfinite(a).all():
             raise InvalidKey("keys must be finite (no NaN or infinity)")
+        # float64 holds every integer below 2**53 exactly
+        if not isinstance(x, np.ndarray) and (np.abs(a) >= 2**53).any():
+            # a Python int and float compare exactly
+            for key, image in zip(x, a.tolist()):
+                if isinstance(key, numbers.Integral) and int(key) != image:
+                    raise InvalidKey(f"integer {key} cannot be held exactly as a float64")
     elif a.dtype.kind not in "iu":
         raise InvalidKey(f"keys must be real scalars, got dtype {a.dtype}")
     return a
@@ -73,7 +87,10 @@ def comparison_matrix(x) -> np.ndarray:
 
 
 def _check_cmp(c) -> np.ndarray:
-    c = np.asarray(c, dtype=bool)
+    try:
+        c = np.asarray(c, dtype=bool)
+    except ValueError:
+        raise DimensionError("comparison matrix must be square, got ragged rows") from None
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise DimensionError(f"comparison matrix must be square, got {c.shape}")
     if c.diagonal().any():
@@ -124,6 +141,7 @@ def delta_matrix(n: int) -> np.ndarray:
     D_2 = [1; -1].
     """
     n = _size(n)
+    _within_budget(8 * n * (n * (n - 1) // 2), n)
     i, j = _pairs(n)
     cols = np.arange(i.size)
     d = np.zeros((n, i.size), dtype=np.int64)
@@ -170,6 +188,9 @@ def integer_matrix_rank(m) -> int:
     if a.ndim != 2:
         raise DimensionError("rank is defined for 2-D matrices")
     if a.size and a.dtype.kind not in "biu":
+        big = _past_int64(m)
+        if big is not None:
+            raise DomainError(f"entry {big} is past int64")
         raise DomainError(f"entries must be integers within int64, got dtype {a.dtype}")
     # a uint64 entry past int64 wraps to a nonzero one, refused if eliminated
     a = a.astype(np.int64)

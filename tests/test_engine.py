@@ -11,6 +11,7 @@ from ranknet import (
     Builder,
     Comparator,
     DimensionError,
+    InvalidKey,
     Level,
     Network,
     PermutationError,
@@ -18,14 +19,21 @@ from ranknet import (
     apply_permutation,
     build_network,
     comparison_matrix,
+    delta_identity_check,
     divisor_network,
     execute,
+    half_vectorize,
+    is_realizable,
+    network_to_dot,
+    network_to_json,
     partial_rank_count,
     partial_rank_table,
     prime_network,
     rank,
+    row_sum_ranks,
     stable_rank,
     table_to_csv,
+    validate_network,
 )
 
 TABLE1_X = [5, 12, 2, 3, 5, 7, 8, 6]
@@ -425,3 +433,71 @@ class TestApplyPermutation:
                     x = rng.integers(0, 4, n)
                     s = apply_permutation(x, execute(net, x))
                     assert (np.diff(s) >= 0).all()
+
+
+# every key entry: rank by each builder, execute of a built network, stable_rank
+KEY_ENTRIES = [lambda x, b=b: rank(x, b) for b in Builder] + [
+    lambda x: execute(build_network(len(x), "prime"), x),
+    stable_rank,
+]
+KEY_ENTRY_IDS = [f"rank-{b.value}" for b in Builder] + ["execute", "stable_rank"]
+
+
+class TestEntryRefusals:
+    @pytest.mark.parametrize("entry", KEY_ENTRIES, ids=KEY_ENTRY_IDS)
+    @pytest.mark.parametrize(
+        "x, big",
+        [([2**53 + 1, 2**53, 0.5], 2**53 + 1), ([2**63 + 1, 2**63, 0], 2**63 + 1)],
+        ids=["beside-decimal", "past-int64"],
+    )
+    def test_refuses_integers_float64_would_round(self, entry, x, big):
+        # numpy read both lists as float64, and each ranked as [1, 2, 0]
+        # where the stable rank is [2, 1, 0]
+        with pytest.raises(InvalidKey, match=f"integer {big} "):
+            entry(x)
+
+    @pytest.mark.parametrize("entry", KEY_ENTRIES, ids=KEY_ENTRY_IDS)
+    @pytest.mark.parametrize("x", [[2**53, 0.5], [2**63, -1], np.array([2.0**53 + 2, 2.0**53])])
+    def test_keys_float64_holds_exactly_still_rank(self, entry, x):
+        assert entry(x).tolist() == [1, 0]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            stable_rank,
+            lambda x: rank(x, "binary"),
+            lambda x: execute(build_network(2, "binary"), x),
+            lambda x: partial_rank_table(build_network(2, "binary"), x),
+            comparison_matrix,
+            row_sum_ranks,
+            is_realizable,
+            half_vectorize,
+            delta_identity_check,
+            lambda x: apply_permutation(x, [0, 1]),
+        ],
+        ids=["stable_rank", "rank", "execute", "partial_rank_table", "comparison_matrix",
+             "row_sum_ranks", "is_realizable", "half_vectorize", "delta_identity_check",
+             "apply_permutation"],
+    )
+    def test_ragged_rows_raise_dimension_error(self, call):
+        # numpy's raw ValueError, before
+        with pytest.raises(DimensionError, match="ragged"):
+            call([[1, 2], [3]])
+
+    @pytest.mark.parametrize(
+        "call, expected",
+        [
+            (lambda: execute([[(0, 1)]], [1, 0]), "a Network"),
+            (lambda: partial_rank_table(2, [1, 0]), "a Network"),
+            (lambda: validate_network("binary"), "a Network"),
+            (lambda: network_to_json(None), "a Network"),
+            (lambda: network_to_dot({"n": 2}), "a Network"),
+            (lambda: table_to_csv(build_network(2, "binary")), "a PartialRankTable"),
+        ],
+        ids=["execute", "partial_rank_table", "validate_network", "network_to_json",
+             "network_to_dot", "table_to_csv"],
+    )
+    def test_wrong_argument_kind_raises_validation_error(self, call, expected):
+        # a raw AttributeError, before
+        with pytest.raises(ValidationError, match=f"expected {expected}, got "):
+            call()

@@ -187,6 +187,15 @@ class TestIndexVectors:
         with pytest.raises(DimensionError):
             call()
 
+    @pytest.mark.parametrize(
+        "call", [lambda: index_vector_w(0, 2**70), lambda: index_vector_v(0, 0, 2**70, 3)],
+        ids=["w-D", "v-d"],
+    )
+    def test_refuse_a_list_past_the_budget(self, call):
+        # a raw OverflowError for w, before
+        with pytest.raises(DimensionError, match="bytes in one array"):
+            call()
+
 
 class TestDivisorNetwork:
     def test_n6_shape(self):
@@ -520,6 +529,23 @@ class TestValidation:
         # cast to int64, the index wrapped to -2**63
         with pytest.raises(ValidationError, match="does not fit in int64"):
             Level(np.array([[0, 2**63]], dtype=np.uint64))
+
+    @pytest.mark.parametrize("big", [2**63, 2**64, -(2**63) - 1])
+    def test_names_an_index_past_int64(self, big):
+        # numpy reads such a list as float64 or objects, and the message
+        # blamed that dtype
+        with pytest.raises(ValidationError, match=f"comparator index {big} does not fit in int64"):
+            Level([[0, big]])
+
+    def test_rejects_a_mapping_level(self):
+        # a raw KeyError, before
+        with pytest.raises(ValidationError):
+            Level({"n": 2})
+
+    def test_rejects_a_document_that_is_no_object(self):
+        # a raw IndexError, before
+        with pytest.raises(ValidationError, match="malformed network document"):
+            network_from_json(np.array([1.0, np.nan]))
 
     def test_rejects_bad_builder_entry(self):
         for n, builder, error in (

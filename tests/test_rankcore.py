@@ -153,6 +153,11 @@ class TestDeltaMatrix:
         with pytest.raises(DimensionError):
             delta_matrix(n)
 
+    def test_refuses_a_matrix_past_the_budget(self):
+        # numpy's raw ValueError, before
+        with pytest.raises(DimensionError, match="bytes in one array"):
+            delta_matrix(2**70)
+
 
 class TestIntegerMatrixRank:
     def test_examples(self):
@@ -182,6 +187,11 @@ class TestIntegerMatrixRank:
     def test_refuses_what_it_cannot_rank_exactly(self, m):
         with pytest.raises(DomainError):
             integer_matrix_rank(m)
+
+    def test_names_the_integer_past_int64(self):
+        # numpy reads the list as float64, and the message blamed that dtype
+        with pytest.raises(DomainError, match=f"entry {2**63} is past int64"):
+            integer_matrix_rank([[2**63, 0], [0, 1]])
 
 
 class TestHalfVectorize:
