@@ -135,10 +135,7 @@ def execute(net: Network, x, workers: int | None = None) -> np.ndarray:
     # loop at every N up to 1024 (15-28x at N = 64) and gained only from
     # N = 2048 on.
     a = _keys(net, x)
-    acc = np.zeros(net.n, dtype=np.int64)
-    for idx in net.arity_groups().values():
-        _accumulate(acc, a, idx)
-    return acc
+    return _run_plan(np.zeros(net.n, dtype=np.int64), a, net._plan)
 
 
 def rank(x, builder: Builder | str) -> np.ndarray:
@@ -154,15 +151,23 @@ def rank(x, builder: Builder | str) -> np.ndarray:
     """
     a = as_keys(x)
     builder = _builder(builder)
-    acc = np.zeros(a.size, dtype=np.int64)
-    if a.size > 1:
-        for kind, k, levels, m in _runs(a.size, builder):
-            if kind == "block":
-                acc += _stable_ranks(a.reshape(m, k)).ravel()
-            elif kind == "cross":
-                _cross_run(acc, a, k, levels)
-            else:
-                _circle_run(acc, a)
+    plan = [(run, None) for run in _runs(a.size, builder)] if a.size > 1 else []
+    return _run_plan(np.zeros(a.size, dtype=np.int64), a, plan)
+
+
+def _run_plan(acc: np.ndarray, a: np.ndarray, plan) -> np.ndarray:
+    """Add the ranks of each (run, rows) of plan into acc: a block run by
+    sorting the keys viewed as (m, k), a run with rows by _accumulate, and
+    a run without rows, as rank passes them, by dense compares."""
+    for (kind, k, levels, m), rows in plan:
+        if kind == "block":
+            acc += _stable_ranks(a.reshape(m, k)).ravel()
+        elif rows is not None:
+            _accumulate(acc, a, rows)
+        elif kind == "cross":
+            _cross_run(acc, a, k, levels)
+        else:
+            _circle_run(acc, a)
     return acc
 
 

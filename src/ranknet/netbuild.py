@@ -275,10 +275,10 @@ class Network:
     levels: tuple[Level, ...]
     builder: Builder
     _groups: Mapping[int, np.ndarray] = field(init=False, repr=False)
-    # set once every pair of positions is known to lie in exactly one
-    # comparator: by the builders, whose output is exact by construction,
-    # and by the first pair check that passes (see _pair_violations)
-    _pairs_exact: bool = field(default=False, init=False, repr=False)
+    # the runs engine.execute takes, as (run, rows) pairs; set once every
+    # pair of positions is known to lie in exactly one comparator: by the
+    # builders, to their _runs, and by the first pair check that passes
+    _plan: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         n, builder = _gate(self.n, self.builder)
@@ -453,13 +453,6 @@ def prime_network(n: int) -> Network:
     return _built(_size(n), Builder.PRIME)
 
 
-def _exact(net: Network) -> Network:
-    """net, marked as covering every pair exactly once, so that execution
-    checks nothing: builder output is exact by construction."""
-    object.__setattr__(net, "_pairs_exact", True)
-    return net
-
-
 def _built(n: int, builder: Builder) -> Network:
     """The network of _runs(n, builder): every arity group sized from the
     runs, then each run written whole into its row range of its group by
@@ -475,7 +468,11 @@ def _built(n: int, builder: Builder) -> Network:
         else:
             _circle_rounds(rows, n)
     shapes = [(m, k) for _, k, levels, m in runs for _ in range(levels)]
-    return _exact(Network._from_groups(n, builder, groups, shapes))
+    net = Network._from_groups(n, builder, groups, shapes)
+    # exact by construction: the plan, on the read-only groups, marks it so
+    plan = tuple(zip(runs, _row_ranges(net.arity_groups(), blocks)))
+    object.__setattr__(net, "_plan", plan)
+    return net
 
 
 def _runs(n: int, builder: Builder) -> list[tuple[str, int, int, int]]:
@@ -716,7 +713,8 @@ def _pair_codes(net: Network):
 
 
 def _pair_violations(net: Network) -> list[str]:
-    """Lines for pairs of positions not covered exactly once; none marks the network.
+    """Lines for pairs of positions not covered exactly once. With none, a
+    network without a plan gets one ("rows", k, 1, M) run per arity group.
 
     The pair total first: only a network that holds N(N-1)/2 pairs gets a
     bitmap. Its rows are strictly increasing, so every code is a pair with
@@ -736,7 +734,9 @@ def _pair_violations(net: Network) -> list[str]:
     for codes, _ in _pair_codes(net):
         seen[codes] = True
     if np.count_nonzero(seen) == expected:
-        _exact(net)
+        if net._plan is None:
+            plan = tuple((("rows", k, 1, len(idx)), idx) for k, idx in net.arity_groups().items())
+            object.__setattr__(net, "_plan", plan)
         return []
 
     # failure path: mark the pairs seen twice, a block at a time; a code
@@ -781,10 +781,10 @@ def _require_valid(net: Network, violations: list[str] | None = None) -> Network
     By default these are the pair violations, for execute and
     partial_rank_table: summed partial ranks are the stable rank only when
     every pair of positions lies in exactly one comparator. A network known
-    to pass (builder output, or one that passed once) is not checked again.
+    with a plan (builder output, or one that passed once) is not checked again.
     """
     if violations is None:
-        violations = [] if net._pairs_exact else _pair_violations(net)
+        violations = [] if net._plan is not None else _pair_violations(net)
     if violations:
         raise ValidationError(f"invalid {net.builder.value} network: {violations[0]}")
     return net
