@@ -1,41 +1,47 @@
 """Execute comparator networks: local stable ranks, scatter-add, reduce.
 
 Each comparator computes the stable ranks of its slice of the input and the
-engine adds them into a global integer accumulator, one arity at a time,
-reading the per-arity index arrays that every network lays out when it is
-made. These are column-major, so each index column is one contiguous array.
-A group of comparators takes one of two routes, each a fixed handful of
-numpy calls per batch of rows, batches small enough for the temporaries
-to stay in cache. Many rows of arity k <= 5 add, for each of their k(k-1)/2
-column pairs, one to the position that wins the pair (the larger key, or
-the later position on a tie), so an input's rank is the number of pairs it
-wins. Wider rows, and a group of few rows of any arity, are ranked by
-one stable argsort per row, whose inverse permutation (a second argsort)
-gives each row's ranks, scattered with ``np.add.at``. A pair pass costs
-about as much as a whole sort of a few rows, so counting pair wins pays
-only over many rows. Nothing on the rank path is a float. Integer
-addition is associative and commutative, so the result does not depend on
-the order in which comparators are evaluated.
+engine adds them into a global integer accumulator. Nothing on the rank
+path is a float. Integer addition is associative and commutative, so the
+result does not depend on the order in which comparators are evaluated.
 
 The sum is the stable rank only when every pair of positions lies in exactly
-one comparator. Builder output does by construction; any other network is
-checked once, before its first use, and raises ValidationError if it does
-not (DimensionError if the check's pair bitmap would exceed its budget).
+one comparator. A network that does carries a plan (netbuild), a list of
+(run, rows) pairs, and the plan is the one thing execute runs. A builder's
+network has its runs of levels (netbuild._runs) from the start, each with
+its rows, by construction. Any other network is checked once, before its
+first use; one that passes gets a plan of one run per arity group, its
+whole group as rows, and one that fails raises ValidationError
+(DimensionError if the check's pair bitmap would exceed its budget).
 
-``rank(x, builder)`` gives the same result as executing the builder's
-network, without building it or writing a single index. It reads the runs
-of levels the builder's network is made of (netbuild._runs), and takes
-each run by its kind. A block run of f-ary comparators w(j) is one stable
-argsort of the rows of x viewed as (N/f, f), and its inverse. A cross run
-compares every key of each block of D with every key of the later blocks
-of its block of dD, which are exactly the pairs of its comparators. The
-binary network's circle run compares every pair. A compare is one boolean
-tile of at most _TILE_CELLS key pairs, so memory stays O(N) plus a tile.
+One loop, _run_plan, takes every run by its kind, for execute and for
+``rank(x, builder)``, which passes the builder's runs without rows: so rank
+gives the same result as executing the builder's network, without building
+it or writing a single index. A block run of f-ary comparators w(j) is one
+stable argsort of the rows of x viewed as (N/f, f), and its inverse. A run
+with rows goes through the index kernel, _accumulate. Of rank's runs,
+which have none, a cross run compares every key of each block of D with
+every key of the later blocks of its block of dD, which are exactly the
+pairs of its comparators, and the binary network's circle run compares
+every pair. A compare is one boolean tile of at most _TILE_CELLS key pairs,
+so memory stays O(N) plus a tile.
+
+The index kernel reads the column-major (M, k) rows of a run, each index
+column one contiguous array, by one of two routes, each a fixed handful of
+numpy calls per batch of rows, batches small enough for the temporaries to
+stay in cache. Many rows of arity k <= 5 add, for each of their k(k-1)/2
+column pairs, one to the position that wins the pair (the larger key, or
+the later position on a tie), so an input's rank is the number of pairs it
+wins. Wider rows, and a run of few rows of any arity, are ranked by one
+stable argsort per row, whose inverse permutation (a second argsort) gives
+each row's ranks, scattered with ``np.add.at``. A pair pass costs about as
+much as a whole sort of a few rows, so counting pair wins pays only over
+many rows.
 
 ``partial_rank_table`` keeps each level's partial ranks apart, as the rows
 of one (L, N) array. A batch of consecutive levels of one arity, as
 netbuild's level check walks them (netbuild._level_batches), goes through
-the same kernel at once: each level's positions are shifted by N times its
+the index kernel at once: each level's positions are shifted by N times its
 place in the batch, so the batch's rows of the array are one accumulator,
 and the keys are read from x tiled to the largest batch's length.
 """
@@ -50,7 +56,9 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionError, PermutationError, ValidationError
-from .netbuild import Builder, Network, _builder, _level_batches, _network, _require_valid, _runs
+from .netbuild import (
+    Builder, Network, _builder, _int64_array, _level_batches, _network, _require_valid, _runs,
+)
 from .rankcore import as_keys
 
 __all__ = [
@@ -125,7 +133,7 @@ def _keys(net: Network, x) -> np.ndarray:
 
 
 def execute(net: Network, x, workers: int | None = None) -> np.ndarray:
-    """Run the network on x and return the permutation vector.
+    """Run the network's plan on x and return the permutation vector.
 
     Equals the stable rank of x; a network whose pairs are not each covered
     exactly once raises ValidationError. Execution is serial:
@@ -301,7 +309,7 @@ def table_to_csv(table: PartialRankTable, x=None) -> str:
 def apply_permutation(x, pi) -> np.ndarray:
     """Scatter x into sorted order: result[pi[i]] = x[i]."""
     try:
-        a, p = np.asarray(x), np.asarray(pi)
+        a, p = np.asarray(x), _int64_array(pi, np.asarray(pi))
     except ValueError:
         raise DimensionError("x and pi must be 1-D of equal length, got a ragged sequence") from None
     if a.ndim != 1 or p.shape != a.shape:

@@ -32,8 +32,12 @@ run plain data (kind, k, levels, m): a block run, the one level of rows
 w(j); a cross run, the D levels of rows v(j, k) of factor d, its (k,
 levels) being (d, D); or the circle run of binary's rounds. The builders
 write each run whole, by the writer of its kind, into its row range of its
-arity group. engine.rank, which ranks without building a network, reads
-the same plan and dispatches on the same kinds.
+arity group, and the network keeps each run with its rows as its plan.
+The plan is the mark that every pair of positions lies in exactly one
+comparator. Any other network gets one, a "rows" run per arity group,
+when its pair check first passes (_pair_violations). engine.execute runs
+a network's plan and engine.rank the runs alone, by one loop
+(engine._run_plan) that dispatches on the kinds.
 
 A network's levels are walked one way, in batches of consecutive levels of
 one arity, each level's positions shifted by a stride times its place in
@@ -131,6 +135,19 @@ def _past_int64(rows):
     return None
 
 
+def _int64_array(values, a: np.ndarray) -> np.ndarray:
+    """a, numpy's array of values; but values as int64 when a is a float or
+    object array and every entry of values is an integer within int64.
+    numpy promotes a mix of uint64 and int64 scalars to float64."""
+    if a.dtype.kind not in "fO" or isinstance(values, np.ndarray):
+        return a
+    entries = np.array(values, dtype=object).ravel().tolist()
+    if all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and -(2**63) <= int(v) < 2**63
+           for v in entries):
+        return np.array(values, dtype=np.int64)
+    return a
+
+
 def _index_array(rows) -> np.ndarray:
     """A level as a read-only (m, k) int64 array with m >= 1: a Level, an
     integer array, Comparator objects, or rows of integers.
@@ -151,7 +168,7 @@ def _index_array(rows) -> np.ndarray:
             names = sorted(t.__name__ for t in types)
             raise ValidationError(f"comparator indices must be integers, got {names}")
         try:
-            a = np.array(rows)
+            a = _int64_array(rows, np.array(rows))
         except ValueError:
             raise ValidationError("comparators of one level must have one arity") from None
         big = _past_int64(rows) if a.dtype.kind in "fO" else None
@@ -268,16 +285,19 @@ class Network:
     when one arity's array would exceed the memory budget that bounds the
     checks (2**31 bytes). validate_network checks the rest of the topology;
     execute and partial_rank_table check pair coverage before a network's
-    first use.
+    first use, unless it has a plan. A builder's network has one from the
+    start, its runs of levels; any other network gets one when its pair
+    check first passes, one run per arity group, which execute then runs.
     """
 
     n: int
     levels: tuple[Level, ...]
     builder: Builder
     _groups: Mapping[int, np.ndarray] = field(init=False, repr=False)
-    # the runs engine.execute takes, as (run, rows) pairs; set once every
-    # pair of positions is known to lie in exactly one comparator: by the
-    # builders, to their _runs, and by the first pair check that passes
+    # the runs engine.execute takes, as (run, rows) pairs, rows a read-only
+    # row range of an arity group; None until every pair of positions is
+    # known to lie in exactly one comparator. The builders set their _runs,
+    # and the first pair check that passes one ("rows", k, 1, M) run per group
     _plan: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -780,8 +800,8 @@ def _require_valid(net: Network, violations: list[str] | None = None) -> Network
 
     By default these are the pair violations, for execute and
     partial_rank_table: summed partial ranks are the stable rank only when
-    every pair of positions lies in exactly one comparator. A network known
-    with a plan (builder output, or one that passed once) is not checked again.
+    every pair of positions lies in exactly one comparator. A network with a
+    plan (builder output, or one that passed once) is not checked again.
     """
     if violations is None:
         violations = [] if net._plan is not None else _pair_violations(net)

@@ -14,7 +14,7 @@ import numbers
 import numpy as np
 
 from .errors import DimensionError, DomainError, InvalidKey
-from .netbuild import _past_int64, _size, _within_budget
+from .netbuild import _int64_array, _past_int64, _size, _within_budget
 
 __all__ = [
     "stable_rank",
@@ -182,7 +182,7 @@ def integer_matrix_rank(m) -> int:
     could overflow.
     """
     try:
-        a = np.array(m)
+        a = _int64_array(m, np.array(m))
     except ValueError:
         raise DimensionError("a matrix needs rows of one length") from None
     if a.ndim != 2:

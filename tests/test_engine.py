@@ -23,6 +23,7 @@ from ranknet import (
     divisor_network,
     execute,
     half_vectorize,
+    integer_matrix_rank,
     is_realizable,
     network_to_dot,
     network_to_json,
@@ -104,6 +105,20 @@ class TestExecute:
             for _ in range(2):
                 x = rng.integers(0, 200, 4096)  # plenty of duplicates
                 assert np.array_equal(execute(net, x), stable_rank(x))
+
+    @pytest.mark.parametrize("n", [36, 81, 105, 243, 576])
+    def test_index_kernel_stays_a_reference(self, n):
+        # a copy of a built network has no plan: its pair check gives it one
+        # run per arity group, so execute runs the whole groups by the index
+        # kernel, while the built network runs its builder's plan
+        x = np.random.default_rng(n).integers(0, max(n // 8, 2), n)  # many ties
+        for builder in Builder:
+            built = build_network(n, builder)
+            copy = Network(n, built.levels, builder)
+            reference = execute(copy, x)
+            assert [kind for (kind, *_), _ in copy._plan] == ["rows"] * len(copy.arity_groups())
+            assert np.array_equal(execute(built, x), reference), (n, builder)
+            assert np.array_equal(rank(x, builder), reference), (n, builder)
 
     def test_determinism_across_workers(self):
         rng = np.random.default_rng(2)
@@ -299,6 +314,28 @@ class TestPairGate:
         execute(validated, x)
         assert checks == [5, 5]
 
+    def test_pair_check_keeps_a_builders_plan(self, monkeypatch):
+        # prime N = 128 is one binary group: as one run of rows it goes by
+        # pair wins and sorts nothing, while the builder's plan sorts its
+        # block run of 64 rows once. validate_network's pair check once
+        # replaced the plan with runs of whole groups.
+        sorts = []
+
+        def stable_ranks(keys):
+            sorts.append(keys.shape)
+            return sort_rows(keys)
+
+        sort_rows = engine._stable_ranks
+        monkeypatch.setattr(engine, "_stable_ranks", stable_ranks)
+        net = prime_network(128)
+        plan = net._plan
+        assert [kind for (kind, *_), _ in plan] == ["block"] + ["cross"] * 6
+        assert netbuild.validate_network(net).ok
+        assert net._plan is plan
+        x = np.random.default_rng(128).integers(0, 16, 128)
+        assert np.array_equal(execute(net, x), stable_rank(x))
+        assert sorts == [(64, 2)]
+
 
 class TestPartialRankTable:
     def test_table1_columns(self):
@@ -460,6 +497,20 @@ class TestEntryRefusals:
     @pytest.mark.parametrize("x", [[2**53, 0.5], [2**63, -1], np.array([2.0**53 + 2, 2.0**53])])
     def test_keys_float64_holds_exactly_still_rank(self, entry, x):
         assert entry(x).tolist() == [1, 0]
+
+    @pytest.mark.parametrize(
+        "call, expected",
+        [
+            (lambda: Level([[np.uint64(0), np.int64(1)]]).indices.tolist(), [[0, 1]]),
+            (lambda: integer_matrix_rank([[np.uint64(1), np.int64(2)], [3, 4]]), 2),
+            (lambda: apply_permutation([1, 2], [np.uint64(1), np.int64(0)]).tolist(), [2, 1]),
+        ],
+        ids=["Level", "integer_matrix_rank", "apply_permutation"],
+    )
+    def test_mixed_numpy_integer_scalars_are_integers(self, call, expected):
+        # numpy promotes a mix of uint64 and int64 scalars to float64, and
+        # each refused the valid integers by that dtype
+        assert call() == expected
 
     @pytest.mark.parametrize(
         "call",
