@@ -57,7 +57,8 @@ import numpy as np
 
 from .errors import DimensionError, PermutationError, ValidationError
 from .netbuild import (
-    Builder, Network, _builder, _int64_array, _level_batches, _network, _require_valid, _runs,
+    Builder, Network, _array, _builder, _int64_array, _level_batches, _network, _require_valid,
+    _runs,
 )
 from .rankcore import as_keys
 
@@ -308,12 +309,13 @@ def table_to_csv(table: PartialRankTable, x=None) -> str:
 
 def apply_permutation(x, pi) -> np.ndarray:
     """Scatter x into sorted order: result[pi[i]] = x[i]."""
+    a, p = _array(x, "x", 1), _array(pi, "pi", 1)
+    if p.shape != a.shape:
+        raise DimensionError(f"x and pi must have equal length, got {a.size} and {p.size}")
     try:
-        a, p = np.asarray(x), _int64_array(pi, np.asarray(pi))
-    except ValueError:
-        raise DimensionError("x and pi must be 1-D of equal length, got a ragged sequence") from None
-    if a.ndim != 1 or p.shape != a.shape:
-        raise DimensionError("x and pi must be 1-D of equal length")
+        p = _int64_array(pi, p)
+    except OverflowError as exc:
+        raise PermutationError(f"pi holds {exc.args[0]}, past int64") from None
     if p.dtype.kind not in "iu":
         raise PermutationError(f"pi must hold integers, got dtype {p.dtype}")
     if not np.array_equal(np.sort(p), np.arange(a.size)):

@@ -126,26 +126,21 @@ class Comparator:
         return len(self.indices)
 
 
-def _past_int64(rows):
-    """The first integer of rows, a sequence of rows, outside int64, or None.
-    numpy holds such an integer beside others as a float or an object."""
-    for v in itertools.chain.from_iterable(rows):
-        if isinstance(v, numbers.Integral) and not -(2**63) <= v < 2**63:
-            return v
-    return None
-
-
 def _int64_array(values, a: np.ndarray) -> np.ndarray:
     """a, numpy's array of values; but values as int64 when a is a float or
     object array and every entry of values is an integer within int64.
-    numpy promotes a mix of uint64 and int64 scalars to float64."""
+    numpy promotes a mix of uint64 and int64 scalars to float64, and holds
+    an integer outside int64 beside others as a float or an object: raises
+    OverflowError carrying the first such integer."""
     if a.dtype.kind not in "fO" or isinstance(values, np.ndarray):
         return a
-    entries = np.array(values, dtype=object).ravel().tolist()
-    if all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and -(2**63) <= int(v) < 2**63
-           for v in entries):
-        return np.array(values, dtype=np.int64)
-    return a
+    integers = True
+    for v in np.array(values, dtype=object).ravel().tolist():
+        if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+            integers = False
+        elif not -(2**63) <= int(v) < 2**63:
+            raise OverflowError(v)
+    return np.array(values, dtype=np.int64) if integers else a
 
 
 def _index_array(rows) -> np.ndarray:
@@ -171,9 +166,8 @@ def _index_array(rows) -> np.ndarray:
             a = _int64_array(rows, np.array(rows))
         except ValueError:
             raise ValidationError("comparators of one level must have one arity") from None
-        big = _past_int64(rows) if a.dtype.kind in "fO" else None
-        if big is not None:
-            raise ValidationError(f"comparator index {big} does not fit in int64")
+        except OverflowError as exc:
+            raise ValidationError(f"comparator index {exc.args[0]} does not fit in int64") from None
     if a.ndim != 2 or a.shape[0] == 0 or a.dtype.kind not in "iu":
         raise ValidationError(
             f"a level must be a non-empty (m, k) integer array, got shape {a.shape}"
@@ -378,6 +372,19 @@ def _size(n, least: int = 2) -> int:
     if n < least:
         raise DimensionError(f"need N >= {least}, got {n}")
     return n
+
+
+def _array(values, what: str, ndim: int) -> np.ndarray:
+    """numpy's asarray of values, or DimensionError naming what when values
+    is ragged or has other than ndim dimensions. No dtype is cast: each
+    caller states what it accepts."""
+    try:
+        a = np.asarray(values)
+    except ValueError:
+        raise DimensionError(f"{what} must be {ndim}-D, got a ragged sequence") from None
+    if a.ndim != ndim:
+        raise DimensionError(f"{what} must be {ndim}-D, got shape {a.shape}")
+    return a
 
 
 def smallest_prime_factor(n: int) -> int:

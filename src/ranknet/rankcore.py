@@ -14,7 +14,7 @@ import numbers
 import numpy as np
 
 from .errors import DimensionError, DomainError, InvalidKey
-from .netbuild import _int64_array, _past_int64, _size, _within_budget
+from .netbuild import _array, _int64_array, _size, _within_budget
 
 __all__ = [
     "stable_rank",
@@ -38,12 +38,7 @@ def as_keys(x) -> np.ndarray:
     more beside a decimal, or past int64 beside small integers. An ndarray
     is taken as it is.
     """
-    try:
-        a = np.asarray(x)
-    except ValueError:
-        raise DimensionError("expected a 1-D sequence of keys, got a ragged sequence") from None
-    if a.ndim != 1:
-        raise DimensionError(f"expected a 1-D sequence of keys, got shape {a.shape}")
+    a = _array(x, "keys", 1)
     if a.size == 0:
         raise DimensionError("key sequence must be nonempty")
     if a.dtype.kind == "f":
@@ -87,12 +82,10 @@ def comparison_matrix(x) -> np.ndarray:
 
 
 def _check_cmp(c) -> np.ndarray:
-    try:
-        c = np.asarray(c, dtype=bool)
-    except ValueError:
-        raise DimensionError("comparison matrix must be square, got ragged rows") from None
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+    c = _array(c, "comparison matrix", 2)
+    if c.shape[0] != c.shape[1]:
         raise DimensionError(f"comparison matrix must be square, got {c.shape}")
+    c = c.astype(bool, copy=False)
     if c.diagonal().any():
         raise InvalidKey("comparison matrix diagonal must be zero")
     off = ~np.eye(c.shape[0], dtype=bool)
@@ -182,17 +175,13 @@ def integer_matrix_rank(m) -> int:
     could overflow.
     """
     try:
-        a = _int64_array(m, np.array(m))
-    except ValueError:
-        raise DimensionError("a matrix needs rows of one length") from None
-    if a.ndim != 2:
-        raise DimensionError("rank is defined for 2-D matrices")
+        a = _int64_array(m, _array(m, "a matrix", 2))
+    except OverflowError as exc:
+        raise DomainError(f"entry {exc.args[0]} is past int64") from None
     if a.size and a.dtype.kind not in "biu":
-        big = _past_int64(m)
-        if big is not None:
-            raise DomainError(f"entry {big} is past int64")
         raise DomainError(f"entries must be integers within int64, got dtype {a.dtype}")
-    # a uint64 entry past int64 wraps to a nonzero one, refused if eliminated
+    # a copy, so the caller's array is never written; a uint64 entry past
+    # int64 wraps to a nonzero one, refused if eliminated
     a = a.astype(np.int64)
     rows, cols = a.shape
     r = 0
