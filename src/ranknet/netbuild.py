@@ -359,11 +359,13 @@ def _network(net) -> None:
 
 
 def _integer(x) -> int:
-    """An integer (numpy's included) as an int, or DimensionError."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise DimensionError(f"need an integer, got {x!r}") from None
+    """An integer (numpy's included, a bool not) as an int, or DimensionError."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise DimensionError(f"need an integer, got {x!r}")
 
 
 def _size(n, least: int = 2) -> int:

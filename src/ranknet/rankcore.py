@@ -5,6 +5,15 @@ the position that input would occupy in a stable sort of the k values.
 Summing row entries of the pairwise comparison matrix gives exactly those
 ranks, which is what lets a full sort be decomposed into independent
 comparator banks whose partial ranks are simply added.
+
+Every array argument passes one gate, netbuild._array: a ragged sequence,
+or one of the wrong dimension count, raises DimensionError naming the
+argument. Then each function states what it accepts. Keys must be finite
+real scalars (as_keys). A comparison matrix holds booleans or numbers
+equal to 0 or 1, read as booleans; any other entry raises InvalidKey. A
+matrix to rank holds integers within int64. comparison_matrix, like
+delta_matrix, raises DimensionError before allocating an array past
+netbuild's one-array budget.
 """
 
 from __future__ import annotations
@@ -74,9 +83,11 @@ def comparison_matrix(x) -> np.ndarray:
 
     Upper triangle holds (x[i] > x[j]); the lower triangle is the boolean
     complement of the transposed entry; the diagonal is 0. The complemented
-    lower triangle is what makes ranking of equal keys stable.
+    lower triangle is what makes ranking of equal keys stable. Each of its
+    N x N boolean temporaries must fit the one-array budget.
     """
     a = as_keys(x)
+    _within_budget(a.size * a.size, a.size)
     gt = a[:, None] > a[None, :]
     return np.triu(gt, 1) | np.tril(~gt.T, -1)
 
@@ -85,7 +96,11 @@ def _check_cmp(c) -> np.ndarray:
     c = _array(c, "comparison matrix", 2)
     if c.shape[0] != c.shape[1]:
         raise DimensionError(f"comparison matrix must be square, got {c.shape}")
-    c = c.astype(bool, copy=False)
+    if c.dtype != bool:
+        # c == 0 compares each entry of an object array as Python does
+        if c.dtype.kind not in "iufO" or not ((c == 0) | (c == 1)).all():
+            raise InvalidKey("comparison matrix entries must be booleans or numbers equal to 0 or 1")
+        c = c.astype(bool)
     if c.diagonal().any():
         raise InvalidKey("comparison matrix diagonal must be zero")
     off = ~np.eye(c.shape[0], dtype=bool)

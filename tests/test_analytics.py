@@ -11,6 +11,8 @@ from ranknet import (
     binary_equivalent,
     comparator_coefficients,
     complexity_profile,
+    index_vector_v,
+    index_vector_w,
     is_prime,
     level_coefficients,
     maundy_a,
@@ -187,3 +189,23 @@ def test_takes_n_as_integer(fn, at_12):
     result = fn(np.int64(12))
     assert result == at_12
     assert [type(v) for v in _leaves(result)] == [type(v) for v in _leaves(at_12)]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: maundy_a(True),
+        lambda: binary_equivalent(True),
+        lambda: total_comparators(True),
+        lambda: prime_power_levels(2, True),
+        lambda: index_vector_w(True, 3),
+        lambda: index_vector_v(0, True, 2, 3),
+    ],
+    ids=["maundy_a", "binary_equivalent", "total_comparators", "prime_power_levels",
+         "index_vector_w", "index_vector_v"],
+)
+def test_refuses_a_bool_as_integer(call):
+    # each took True as 1: the counts returned 0 and 1, and the index
+    # vectors [3, 4, 5] and [0, 4]
+    with pytest.raises(DimensionError, match="got True"):
+        call()

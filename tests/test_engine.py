@@ -461,6 +461,11 @@ class TestApplyPermutation:
         with pytest.raises(PermutationError):
             apply_permutation([10, 20], pi)
 
+    def test_names_an_integer_past_int64(self):
+        # numpy reads the list as objects, and the message blamed that dtype
+        with pytest.raises(PermutationError, match=f"pi holds {2**64}, past int64"):
+            apply_permutation([1, 2], [2**64, 0])
+
     def test_sorted_and_stable(self):
         rng = np.random.default_rng(4)
         for builder in Builder:
@@ -525,10 +530,12 @@ class TestEntryRefusals:
             half_vectorize,
             delta_identity_check,
             lambda x: apply_permutation(x, [0, 1]),
+            lambda pi: apply_permutation([1, 2], pi),
+            integer_matrix_rank,
         ],
         ids=["stable_rank", "rank", "execute", "partial_rank_table", "comparison_matrix",
              "row_sum_ranks", "is_realizable", "half_vectorize", "delta_identity_check",
-             "apply_permutation"],
+             "apply_permutation", "apply_permutation-pi", "integer_matrix_rank"],
     )
     def test_ragged_rows_raise_dimension_error(self, call):
         # numpy's raw ValueError, before

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ranknet import netbuild
 from ranknet import (
     DimensionError,
     DomainError,
@@ -85,6 +86,16 @@ class TestComparisonMatrix:
             row_sum_ranks(comparison_matrix(xs)), stable_rank(xs)
         )
 
+    def test_refuses_a_matrix_past_the_budget(self, monkeypatch):
+        # a budget below 4 * 4 bytes stands in for an N whose N x N boolean
+        # temporaries would not fit, 10 GB each at N = 10**5
+        x = [3, 1, 2, 0]
+        monkeypatch.setattr(netbuild, "_CHECK_BYTES", 15)
+        with pytest.raises(DimensionError, match="needs 16 bytes"):
+            comparison_matrix(x)
+        monkeypatch.setattr(netbuild, "_CHECK_BYTES", 16)
+        assert row_sum_ranks(comparison_matrix(x)).tolist() == [3, 1, 2, 0]
+
 
 class TestRowSumRanks:
     def test_examples(self):
@@ -97,6 +108,25 @@ class TestRowSumRanks:
             row_sum_ranks([[0, 1], [1, 0]])
         with pytest.raises(InvalidKey):
             row_sum_ranks([[1, 1], [0, 0]])
+
+
+@pytest.mark.parametrize("check", [row_sum_ranks, is_realizable, half_vectorize])
+@pytest.mark.parametrize(
+    "c",
+    [
+        [[0, 2], [0, 0]],
+        [[0, 0.5], [0, 0]],
+        [["", "x"], ["", ""]],
+        np.array([[None, None], [1, None]], dtype=object),
+        [["a", "b"], ["c", "d"]],
+    ],
+    ids=["two", "half", "text", "none", "letters"],
+)
+def test_comparison_entries_must_be_0_or_1(check, c):
+    # each was cast to bool: the first four were read as valid matrices, and
+    # the letters blamed the diagonal
+    with pytest.raises(InvalidKey, match="0 or 1"):
+        check(c)
 
 
 class TestRealizability:
@@ -187,6 +217,11 @@ class TestIntegerMatrixRank:
     def test_refuses_what_it_cannot_rank_exactly(self, m):
         with pytest.raises(DomainError):
             integer_matrix_rank(m)
+
+    def test_leaves_its_argument_unchanged(self):
+        m = np.array([[2, 4, 1], [1, 3, 5], [0, 7, 2]])
+        assert integer_matrix_rank(m) == 3
+        assert m.tolist() == [[2, 4, 1], [1, 3, 5], [0, 7, 2]]
 
     def test_names_the_integer_past_int64(self):
         # numpy reads the list as float64, and the message blamed that dtype
