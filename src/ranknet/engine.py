@@ -279,13 +279,13 @@ def partial_rank_table(net: Network, x) -> PartialRankTable:
     """
     a = _keys(net, x)
     n = net.n
-    levels = np.zeros((len(net.levels), n), dtype=np.int64)
+    levels = np.zeros((len(net._shapes), n), dtype=np.int64)
     tiled = a[:0]
     for first, count, idx in _level_batches(net, n):
         if tiled.size < count * n:
             tiled = np.tile(a, count)
         _accumulate(levels[first : first + count].reshape(-1), tiled, idx)
-    columns = [(f"L{i}(C{level.arity})", col) for i, (level, col) in enumerate(zip(net.levels, levels))]
+    columns = [(f"L{i}(C{k})", col) for i, ((_, k), col) in enumerate(zip(net._shapes, levels))]
     return PartialRankTable(n, columns, levels.sum(axis=0))
 
 

@@ -3,8 +3,11 @@
 A network is a sequence of levels. A level is a read-only (m, k) int64
 array: m comparators of arity k, one strictly increasing row of global
 indices each. A network holds one read-only column-major (M, k) array per
-arity k, the layout the engine executes, and its levels are consecutive row
-ranges of these arrays. The builders size every such array from the factor
+arity k, the layout the engine executes, and each level's shape (m, k), in
+order; its levels are consecutive row ranges of these arrays. Level views
+of them are made only when a network's ``levels`` is first read: building,
+validating, writing and reading back a network, and its partial-rank table,
+walk the shapes. The builders size every such array from the factor
 sequence, then write it once, a run of levels per fixed handful of numpy
 calls, in closed form from the two index vectors
 
@@ -57,7 +60,7 @@ import numbers
 import operator
 import re
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from types import MappingProxyType
 
@@ -240,8 +243,7 @@ def _level_runs(net: Network):
     one arity k: (k, the run's first row in the arity-k group, the row
     counts of its levels). A run's rows are consecutive in its group."""
     start = dict.fromkeys(net.arity_groups(), 0)
-    shapes = (level.indices.shape for level in net.levels)
-    for k, run in itertools.groupby(shapes, key=operator.itemgetter(1)):
+    for k, run in itertools.groupby(net._shapes, key=operator.itemgetter(1)):
         counts = [m for m, _ in run]
         yield k, start[k], counts
         start[k] += sum(counts)
@@ -265,41 +267,41 @@ def _level_batches(net: Network, stride: int):
             li += len(batch)
 
 
-@dataclass(frozen=True, eq=False)
 class Network:
     """An immutable comparator network on N positions.
 
     ``levels`` may be given as Level objects or as anything Level accepts.
     The network copies all comparator indices once, into one read-only
     column-major (M, k) array per arity k (the layout the engine executes),
-    and its levels become views of row ranges of those arrays. N must be an
-    integer from 1 to 2**32, the builder a Builder or its name, and each
-    comparator must have arity at least 2 and strictly increasing indices in
-    [0, N); anything else raises ValidationError. DimensionError is raised
-    when one arity's array would exceed the memory budget that bounds the
-    checks (2**31 bytes). validate_network checks the rest of the topology;
-    execute and partial_rank_table check pair coverage before a network's
-    first use, unless it has a plan. A builder's network has one from the
-    start, its runs of levels; any other network gets one when its pair
-    check first passes, one run per arity group, which execute then runs.
+    and keeps each level's shape (m, k). Its levels are consecutive row
+    ranges of those arrays; ``levels`` makes them Level views when first
+    read, and keeps them. N must be an integer from 1 to 2**32, the builder
+    a Builder or its name, and each comparator must have arity at least 2
+    and strictly increasing indices in [0, N); anything else raises
+    ValidationError. DimensionError is raised when one arity's array would
+    exceed the memory budget that bounds the checks (2**31 bytes).
+    validate_network checks the rest of the topology; execute and
+    partial_rank_table check pair coverage before a network's first use,
+    unless it has a plan. A builder's network has one from the start, its
+    runs of levels; any other network gets one when its pair check first
+    passes, one run per arity group, which execute then runs.
     """
 
-    n: int
-    levels: tuple[Level, ...]
-    builder: Builder
-    _groups: Mapping[int, np.ndarray] = field(init=False, repr=False)
     # the runs engine.execute takes, as (run, rows) pairs, rows a read-only
     # row range of an arity group; None until every pair of positions is
     # known to lie in exactly one comparator. The builders set their _runs,
     # and the first pair check that passes one ("rows", k, 1, M) run per group
-    _plan: tuple | None = field(default=None, init=False, repr=False)
+    _plan: tuple | None = None
+    # the Level views that levels returns, None until it is first read; the
+    # network's walks read _shapes, each level's (m, k) in order, instead
+    _levels: tuple[Level, ...] | None = None
 
-    def __post_init__(self):
-        n, builder = _gate(self.n, self.builder)
-        if not isinstance(self.levels, Iterable):
-            raise ValidationError(f"levels must be an iterable of levels, got {self.levels!r}")
+    def __init__(self, n, levels, builder):
+        n, builder = _gate(n, builder)
+        if not isinstance(levels, Iterable):
+            raise ValidationError(f"levels must be an iterable of levels, got {levels!r}")
         arrays = []
-        for li, level in enumerate(self.levels):
+        for li, level in enumerate(levels):
             try:
                 arrays.append(_index_array(level))
             except ValidationError as exc:
@@ -320,10 +322,8 @@ class Network:
         return net
 
     def _lay_out(self, n: int, builder: Builder, groups: dict[int, np.ndarray], shapes) -> None:
-        """Check each group, make it and its base read-only, and make the levels
-        views of their row ranges."""
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "builder", builder)
+        """Check each group, make it and its base read-only, and keep the
+        groups and the level shapes (m, k), in order."""
         for k, g in groups.items():
             if k < 2:
                 raise ValidationError(f"comparator arity {k} < 2")
@@ -334,9 +334,28 @@ class Network:
             # a read-only view of a writable base could be made writable again
             g.base.flags.writeable = False
             g.flags.writeable = False
-        levels = tuple(map(_level_view, _row_ranges(groups, shapes)))
-        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "builder", builder)
         object.__setattr__(self, "_groups", MappingProxyType(groups))
+        object.__setattr__(self, "_shapes", tuple(shapes))
+
+    @property
+    def levels(self) -> tuple[Level, ...]:
+        """The levels in order, read-only Level views of row ranges of the
+        arity groups."""
+        if self._levels is None:
+            levels = tuple(map(_level_view, _row_ranges(self._groups, self._shapes)))
+            object.__setattr__(self, "_levels", levels)
+        return self._levels
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(n={self.n!r}, levels={self.levels!r}, builder={self.builder!r})"
 
     def comparators(self):
         for level in self.levels:
@@ -496,7 +515,7 @@ def _built(n: int, builder: Builder) -> Network:
             _cross_rows(rows, n, k, levels)
         else:
             _circle_rounds(rows, n)
-    shapes = [(m, k) for _, k, levels, m in runs for _ in range(levels)]
+    shapes = itertools.chain.from_iterable([(m, k)] * levels for _, k, levels, m in runs)
     net = Network._from_groups(n, builder, groups, shapes)
     # exact by construction: the plan, on the read-only groups, marks it so
     plan = tuple(zip(runs, _row_ranges(net.arity_groups(), blocks)))
@@ -617,7 +636,7 @@ def validate_network(net: Network) -> ValidationReport:
     """
     _network(net)
     v: list[str] = []
-    shapes = [level.indices.shape for level in net.levels]
+    shapes = net._shapes
     if net.builder == Builder.PRIME:
         composite = {k for k in net.arity_groups() if not is_prime(k)}
         v += [f"level {li}: non-prime arity {k}" for li, (_, k) in enumerate(shapes) if k in composite]
@@ -928,17 +947,24 @@ def network_to_json(net: Network) -> str:
     above 11770).
     """
     _network(net)
+    return "".join(_json_pieces(net))
+
+
+def _json_pieces(net: Network):
+    """The text of network_to_json in order: the header, each batch of
+    _row_batches, then the closing brackets. The budget is checked first."""
     head = f'{{"n": {net.n}, "builder": {json.dumps(net.builder.value)}, "levels": ['
     # a row is '{"indices": [' and ']}, ' around its k indices, each of at
     # most `digits` digits and ', '; a level adds '[', ']' and ', '
     digits = len(str(net.n - 1))
     rows = sum(len(g) * (17 + k * (digits + 2)) for k, g in net.arity_groups().items())
-    _within_budget(len(head) + rows + 4 * len(net.levels) + 2, net.n)
-    pieces = [head]
+    _within_budget(len(head) + rows + 4 * len(net._shapes) + 2, net.n)
+    yield head
+    first = True
     for batch, starts in _row_batches(net):
-        pieces.append(_rows_json(batch, starts, len(pieces) == 1))
-    pieces.append("]]}" if net.levels else "]}")
-    return "".join(pieces)
+        yield _rows_json(batch, starts, first)
+        first = False
+    yield "]]}" if net._shapes else "]}"
 
 
 # The header network_to_json writes, N of at most 10 digits: no network has
@@ -965,7 +991,13 @@ def _rebuilt_network(text: str) -> Network | None:
         return None
     try:
         net = _built(n, builder)
-        return net if network_to_json(net) == text else None
+        # piece by piece, stopping at the first that differs
+        at = 0
+        for piece in _json_pieces(net):
+            if not text.startswith(piece, at):
+                return None
+            at += len(piece)
+        return net if at == len(text) else None
     except DimensionError:
         # past the budget, such as binary N above 11770: such a text can
         # only come from json.dumps, and its outcome is json.loads's
@@ -1021,18 +1053,19 @@ def network_to_dot(net: Network) -> str:
     out = ["digraph ranknet {", "  rankdir=LR;"]
     out += [f'  x{i} [label="x{i}", shape=plaintext];' for i in range(net.n)]
     out.append('  adder [label="+", shape=doublecircle];')
-    for li, level in enumerate(net.levels):
-        m, k = level.indices.shape
+    levels = list(_row_ranges(net.arity_groups(), net._shapes))
+    for li, idx in enumerate(levels):
+        m, k = idx.shape
         node = f'    c{li}_%d [label="C_{k}", shape=box];'
         out += [f"  subgraph cluster_L{li} {{", f'    label="L{li}";']
         out.append("\n".join([node] * m) % tuple(range(m)))
         out.append("  }")
-    for li, level in enumerate(net.levels):
-        m, k = level.indices.shape
+    for li, idx in enumerate(levels):
+        m, k = idx.shape
         # per comparator c: "x{i} -> c" for each of its k indices i, then "c -> adder"
         edges = "\n".join([f"  x%d -> c{li}_%d;"] * k + [f"  c{li}_%d -> adder;"])
         args = np.repeat(np.arange(m)[:, None], 2 * k + 1, axis=1)
-        args[:, 0 : 2 * k : 2] = level.indices
+        args[:, 0 : 2 * k : 2] = idx
         out.append("\n".join([edges] * m) % tuple(args.ravel().tolist()))
     out.append("}")
     return "\n".join(out) + "\n"
