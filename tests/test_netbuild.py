@@ -607,6 +607,101 @@ class TestLayout:
                     assert np.array_equal(g, groups[k]), (n, k)
 
 
+class TestLevelsOnFirstRead:
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """A one-item list counting the Level objects made from here on, by
+        Level() or as views of a network's rows."""
+        count = [0]
+        view, post_init = netbuild._level_view, Level.__post_init__
+
+        def counted_view(rows):
+            count[0] += 1
+            return view(rows)
+
+        def counted_post_init(level):
+            count[0] += 1
+            post_init(level)
+
+        monkeypatch.setattr(netbuild, "_level_view", counted_view)
+        monkeypatch.setattr(Level, "__post_init__", counted_post_init)
+        return count
+
+    @pytest.mark.parametrize("builder", list(Builder))
+    def test_audit_path_makes_no_level(self, made, builder):
+        # build, validate, write, read back and table: each walks the level
+        # shapes, where every network made one Level per level when built
+        for n in (2, 7, 12, 30, 97, 288, 353):
+            net = build_network(n, builder)
+            assert validate_network(net).ok
+            text = network_to_json(net)
+            back = network_from_json(text)
+            table = engine.partial_rank_table(back, np.arange(n)[::-1])
+            assert network_to_json(back) == text
+            assert [label for label, _ in table.columns][-1].startswith(f"L{len(table.columns) - 1}(")
+        assert made[0] == 0
+        levels = net.levels
+        assert made[0] == len(levels) == len(table.columns)
+        assert net.levels is levels and made[0] == len(levels)
+
+    def test_first_read_views_the_groups(self, made):
+        built = [build_network(n, b) for n in (2, 9, 12, 30, 97) for b in Builder]
+        hand_built = [
+            Network(doc["n"], [[c["indices"] for c in level] for level in doc["levels"]], doc["builder"])
+            for doc in map(json.loads, map(network_to_json, [*WRITER_NETWORKS, *built[:6]]))
+        ]
+        for net in built + hand_built:
+            made[0] = 0
+            levels = net.levels
+            assert type(levels) is tuple and {type(level) for level in levels} <= {Level}
+            assert made[0] == len(levels) and net.levels is levels and made[0] == len(levels)
+            # the same levels as the text, which the pinned digests fix
+            doc = json.loads(network_to_json(net))["levels"]
+            assert [level.indices.tolist() for level in levels] == [
+                [c["indices"] for c in level] for level in doc
+            ]
+            for k, g in net.arity_groups().items():
+                own = [level.indices for level in levels if level.arity == k]
+                assert np.array_equal(np.concatenate(own), g)
+                for idx in own:
+                    assert idx.dtype == np.int64 and not idx.flags.writeable
+                    assert np.shares_memory(idx, g)
+
+    @pytest.mark.parametrize("slots", [8, 64])
+    def test_rebuild_refuses_a_mismatch_in_a_later_piece(self, monkeypatch, slots):
+        # the rebuilt text is compared a batch of rows at a time, here of 4 to
+        # 32 rows: a text that differs only after its first piece still goes
+        # to json.loads
+        monkeypatch.setattr(netbuild, "_LEVEL_SLOTS", slots)
+
+        def outcome(load, text):
+            try:
+                net = load(text)
+            except RankNetError as exc:
+                return type(exc), str(exc)
+            return network_to_json(net), {k: g.tolist() for k, g in net.arity_groups().items()}
+
+        for n, builder in ((25, "binary"), (30, "prime"), (64, "divisor")):
+            text = network_to_json(build_network(n, builder))
+            head, _, last = text.rpartition('{"indices": [')
+            rows = last.split("]")[0]
+            variants = [
+                text[:-1] + "]",  # the last byte changed
+                text + " ",  # a byte appended, still a document of the network
+                text + "}",
+                text[:-1],  # truncated
+                text[:-3],
+                head + '{"indices": [' + ", ".join(rows.split(", ")[::-1]) + "]}]]}",
+            ]
+            assert netbuild._rebuilt_network(text) is not None
+            for variant in variants:
+                assert netbuild._rebuilt_network(variant) is None
+                assert outcome(network_from_json, variant) == outcome(
+                    netbuild._network_from_doc, variant
+                )
+            assert outcome(network_from_json, text + " ")[0] == text
+
+
 # the sizes of the benchmark's sort_cold workload
 SORT_COLD_SIZES = (
     9, 10, 12, 16, 18, 24, 30, 38, 46, 60, 64, 81,
