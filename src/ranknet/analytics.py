@@ -103,26 +103,51 @@ def _maundy(n: int) -> int:
     return max(best, n * _maundy(1) + 1)
 
 
-def prime_power_levels(p: int, k: int) -> int:
-    """Level count for n = p^k in closed form: (p^k - 1) / (p - 1)."""
-    p, k = _integer(p), _integer(k)
-    if not is_prime(p):
-        raise DomainError(f"p must be prime, got {p}")
+# Largest power p**k the closed forms take: 2**64, far past any network
+# (2**32 positions). Without a bound, p**k for an exponent such as 2**70
+# never finishes.
+_POWER_BITS = 64
+
+
+def _power(p: int, k: int) -> int:
+    """p**k for an exponent k >= 1, or DomainError naming k when p**k would
+    exceed 2**_POWER_BITS: told from k and p's bit length before a power
+    larger than 2**(2*_POWER_BITS) is computed."""
     if k < 1:
         raise DomainError(f"exponent must be >= 1, got {k}")
-    return (p**k - 1) // (p - 1)
+    # p**k is at least 2**(k * (p.bit_length() - 1))
+    if k * (p.bit_length() - 1) <= _POWER_BITS:
+        power = p**k
+        if power <= 2**_POWER_BITS:
+            return power
+    raise DomainError(f"exponent {k} takes {p}**{k} past 2**{_POWER_BITS}")
+
+
+def prime_power_levels(p: int, k: int) -> int:
+    """Level count for n = p^k in closed form: (p^k - 1) / (p - 1).
+
+    p^k may be at most 2**64; a larger exponent raises DomainError.
+    """
+    p, k = _integer(p), _integer(k)
+    power = _power(p, k)
+    if not is_prime(p):
+        raise DomainError(f"p must be prime, got {p}")
+    return (power - 1) // (p - 1)
 
 
 def two_prime_levels(p1: int, k1: int, p2: int, k2: int) -> dict[int, int]:
-    """Level coefficients for n = p1^k1 * p2^k2 in closed form, p1 < p2."""
+    """Level coefficients for n = p1^k1 * p2^k2 in closed form, p1 < p2.
+
+    p1^k1 and p2^k2 may each be at most 2**64; a larger exponent raises
+    DomainError.
+    """
     p1, k1, p2, k2 = map(_integer, (p1, k1, p2, k2))
+    power1, power2 = _power(p1, k1), _power(p2, k2)
     if not (is_prime(p1) and is_prime(p2)) or p1 >= p2:
         raise DomainError(f"need primes p1 < p2, got {p1}, {p2}")
-    if k1 < 1 or k2 < 1:
-        raise DomainError("exponents must be >= 1")
     return {
-        p1: p2**k2 * (p1**k1 - 1) // (p1 - 1),
-        p2: (p2**k2 - 1) // (p2 - 1),
+        p1: power2 * (power1 - 1) // (p1 - 1),
+        p2: (power2 - 1) // (p2 - 1),
     }
 
 

@@ -1,4 +1,5 @@
 from collections import Counter
+import time
 
 import numpy as np
 import pytest
@@ -122,6 +123,32 @@ class TestClosedForms:
             assert two_prime_levels(p1, k1, p2, k2) == level_coefficients(n)
         with pytest.raises(DomainError):
             two_prime_levels(3, 1, 2, 1)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda k: prime_power_levels(5, k),
+            lambda k: two_prime_levels(2, k, 3, 1),
+            lambda k: two_prime_levels(2, 1, 3, k),
+        ],
+        ids=["prime_power_levels", "two_prime_levels k1", "two_prime_levels k2"],
+    )
+    def test_refuses_a_power_past_2_64(self, call):
+        # p**k was computed for any exponent, so 2**70 never finished
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=f"exponent {2**70} "):
+            call(2**70)
+        assert time.perf_counter() - start < 1
+
+    def test_takes_every_power_up_to_2_64(self):
+        assert prime_power_levels(2, 64) == 2**64 - 1
+        assert prime_power_levels(3, 40) == (3**40 - 1) // 2
+        assert two_prime_levels(2, 64, 3, 40) == {2: 3**40 * (2**64 - 1), 3: (3**40 - 1) // 2}
+        for p, k in [(2, 65), (3, 41), (2**61 - 1, 2)]:
+            with pytest.raises(DomainError, match=f"exponent {k} "):
+                prime_power_levels(p, k)
+            with pytest.raises(DomainError, match=f"exponent {k} "):
+                two_prime_levels(2, 1, p, k)
 
 
 class TestBinaryEquivalent:
