@@ -169,3 +169,20 @@ def test_raw_reads_unscaled_metrics_from_the_result_file(tmp_path):
     assert medians["keys_per_s"] == {"parent": 9000.0, "change": 10000.0}
     assert medians["latency_p50_ms"] == {"parent": 2.5, "change": 1.5}
     assert medians["cpu_ms_per_op"] == {"parent": 2.0, "change": 2.0}
+
+
+def test_peak_rss_by_part_reads_each_part_from_the_result_file(tmp_path):
+    out = tmp_path / "perfbench" / "out"
+    out.mkdir(parents=True)
+    parts = [{"peak_rss_mb": 60.5, "records": []}, {"peak_rss_mb": 64.0, "records": []},
+             {"peak_rss_mb": 69.25, "records": []}]
+    (out / "result-execute_warm-seed3-trace0.json").write_text(json.dumps({"parts": parts}))
+    rss = bench_pairs.peak_rss(str(tmp_path), "execute_warm", 3)
+    assert rss == [60.5, 64.0, 69.25]
+    # the median of each part over the runs, not over the parts of one run
+    runs = {"parent": [rss, [62.5, 66.0, 71.25], [61.0, 63.0, 70.0]],
+            "change": [[50.0, 52.0, 54.0], [52.0, 50.0, 58.0]]}
+    assert bench_pairs.rss_by_part(runs) == {
+        "parent": [61.0, 64.0, 70.0],
+        "change": [51.0, 51.0, 56.0],
+    }

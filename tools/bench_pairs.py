@@ -34,6 +34,13 @@ in a scaled median that the raw one does not share came from the probes.
 It is informational: the claim, ``regressions`` and ``unresolved`` read the
 scaled metrics only.
 
+Each workload's summary also gives ``peak_rss_by_part``: for each side, the
+median over its runs of each part's ``peak_rss_mb``, in part order, read
+from the same full result. A part's figure includes the memory of the
+driver that starts it, which holds every earlier part's records, so it
+shows how much of the run's ``peak_rss_mb`` is the driver's. It is
+informational too, as ``raw`` is.
+
 Each workload's summary also lists its ``regressions``: every end-to-end
 metric whose change median is worse than the parent's by more than the
 metric's ``bound`` in the parent's BENCHMARK.json, a fraction of the
@@ -121,14 +128,23 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def records(tree: str, workload: str, seed: int) -> list:
-    """The operation records of one run in tree, (round, N, builder, wall s,
-    cpu s, probe passes before it), pooled over its parts, from the full
-    result the run wrote under perfbench/out/."""
+def parts(tree: str, workload: str, seed: int) -> list:
+    """The parts of one run in tree, from the full result the run wrote
+    under perfbench/out/."""
     path = os.path.join(tree, "perfbench", "out", f"result-{workload}-seed{seed}-trace0.json")
     with open(path) as fh:
-        parts = json.load(fh)["parts"]
-    return [rec for part in parts for rec in part["records"]]
+        return json.load(fh)["parts"]
+
+
+def records(tree: str, workload: str, seed: int) -> list:
+    """The operation records of one run in tree, (round, N, builder, wall s,
+    cpu s, probe passes before it), pooled over its parts."""
+    return [rec for part in parts(tree, workload, seed) for rec in part["records"]]
+
+
+def peak_rss(tree: str, workload: str, seed: int) -> list:
+    """The peak_rss_mb of each part of one run in tree, in part order."""
+    return [part["peak_rss_mb"] for part in parts(tree, workload, seed)]
 
 
 def walls(tree: str, workload: str, seed: int) -> dict:
@@ -158,6 +174,13 @@ def raw_medians(sides: dict) -> dict:
     their runs' raw results."""
     return {name: {side: sig(percentile([r[name] for r in sides[side]], 0.5))
                    for side in ("parent", "change")} for name in sides["parent"][0]}
+
+
+def rss_by_part(sides: dict) -> dict:
+    """{side: [median MB of part 0, part 1, ...]} for sides mapping "parent"
+    and "change" to their runs' peak_rss results."""
+    return {side: [sig(percentile(part, 0.5)) for part in zip(*sides[side])]
+            for side in ("parent", "change")}
 
 
 def per_size(sides: dict) -> dict:
@@ -269,6 +292,7 @@ def main(argv=None) -> int:
             results = {"parent": [], "change": []}
             times = {"parent": {}, "change": {}}
             raws = {"parent": [], "change": []}
+            rss = {"parent": [], "change": []}
             for j, seed in enumerate(seeds):
                 order = ("parent", "change") if j % 2 == 0 else ("change", "parent")
                 for side in order:
@@ -277,6 +301,7 @@ def main(argv=None) -> int:
                     for n, ms in walls(trees[side], workload, seed).items():
                         times[side].setdefault(n, []).extend(ms)
                     raws[side].append(raw(trees[side], workload, seed))
+                    rss[side].append(peak_rss(trees[side], workload, seed))
                     print(f"{workload} seed {seed} {side}: {json.dumps(result)}", flush=True)
                     with open(os.path.join(log_dir, f"bench-pairs-{args.number}.jsonl"), "a") as fh:
                         fh.write(json.dumps(dict(result, workload=workload, seed=seed,
@@ -299,6 +324,7 @@ def main(argv=None) -> int:
                 "metrics": summaries,
                 "per_size_ms": per_size(times),
                 "raw": raw_medians(raws),
+                "peak_rss_by_part": rss_by_part(rss),
             }
     claim = None
     if args.claim:
