@@ -355,7 +355,8 @@ class Network:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(n={self.n!r}, levels={self.levels!r}, builder={self.builder!r})"
+        name = type(self).__qualname__
+        return f"{name}(n={self.n!r}, levels={self.levels!r}, builder={self.builder!r})"
 
     def comparators(self):
         for level in self.levels:

@@ -666,6 +666,7 @@ class TestLevelsOnFirstRead:
                 for idx in own:
                     assert idx.dtype == np.int64 and not idx.flags.writeable
                     assert np.shares_memory(idx, g)
+            assert repr(net) == f"Network(n={net.n}, levels={levels!r}, builder={net.builder!r})"
 
     @pytest.mark.parametrize("slots", [8, 64])
     def test_rebuild_refuses_a_mismatch_in_a_later_piece(self, monkeypatch, slots):
