@@ -39,11 +39,11 @@ much as a whole sort of a few rows, so counting pair wins pays only over
 many rows.
 
 ``partial_rank_table`` keeps each level's partial ranks apart, as the rows
-of one (L, N) array. A batch of consecutive levels of one arity, as
-netbuild's level check walks them (netbuild._level_batches), goes through
-the index kernel at once: each level's positions are shifted by N times its
-place in the batch, so the batch's rows of the array are one accumulator,
-and the keys are read from x tiled to the largest batch's length.
+of one (L, N) array. A batch of whole levels of one arity from netbuild's
+one walk over levels (netbuild._level_batches) goes through the index
+kernel at once: each level's positions are shifted by N times its place in
+the batch (netbuild._shifted), so the batch's rows of the array are one
+accumulator, and the keys are read from x tiled to the largest batch's length.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ import numpy as np
 from .errors import DimensionError, PermutationError, ValidationError
 from .netbuild import (
     Builder, Network, _array, _builder, _int64_array, _level_batches, _network, _require_valid,
-    _runs,
+    _runs, _shifted,
 )
 from .rankcore import as_keys
 
@@ -275,16 +275,18 @@ def partial_rank_table(net: Network, x) -> PartialRankTable:
     """One partial-rank column per level, plus their sum (the permutation).
 
     The columns are row views of one (L, N) array, filled a batch of
-    netbuild._level_batches at a time, each batch by one _accumulate.
+    netbuild._level_batches at a time, at most _LEVEL_SLOTS // N levels, by
+    one _accumulate of the batch's rows shifted by N a level.
     """
     a = _keys(net, x)
     n = net.n
     levels = np.zeros((len(net._shapes), n), dtype=np.int64)
     tiled = a[:0]
-    for first, count, idx in _level_batches(net, n):
+    for first, counts, rows in _level_batches(net, n):
+        count = len(counts)
         if tiled.size < count * n:
             tiled = np.tile(a, count)
-        _accumulate(levels[first : first + count].reshape(-1), tiled, idx)
+        _accumulate(levels[first : first + count].reshape(-1), tiled, _shifted(rows, counts, n))
     columns = [(f"L{i}(C{k})", col) for i, ((_, k), col) in enumerate(zip(net._shapes, levels))]
     return PartialRankTable(n, columns, levels.sum(axis=0))
 

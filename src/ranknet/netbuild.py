@@ -42,10 +42,11 @@ when its pair check first passes (_pair_violations). engine.execute runs
 a network's plan and engine.rank the runs alone, by one loop
 (engine._run_plan) that dispatches on the kinds.
 
-A network's levels are walked one way, in batches of consecutive levels of
-one arity, each level's positions shifted by a stride times its place in
-the batch (_level_batches): the level check of validate_network reads its
-overlap codes from them, and engine.partial_rank_table its accumulator rows.
+A network's levels are walked one way, in batches of whole consecutive
+levels of one arity, levels times a stride at most _LEVEL_SLOTS
+(_level_batches): network_to_json writes its text from them, and the level
+check of validate_network and engine.partial_rank_table read codes, each
+level's positions shifted by the stride times its place in it (_shifted).
 
 Networks never move data: every comparator emits local stable ranks and the
 engine adds them into a global accumulator.
@@ -53,7 +54,6 @@ engine adds them into a global accumulator.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import json
 import numbers
@@ -238,33 +238,30 @@ def _row_ranges(groups: dict[int, np.ndarray], shapes):
         start[k] += m
 
 
-def _level_runs(net: Network):
-    """The levels of net in order, as maximal runs of consecutive levels of
-    one arity k: (k, the run's first row in the arity-k group, the row
-    counts of its levels). A run's rows are consecutive in its group."""
-    start = dict.fromkeys(net.arity_groups(), 0)
-    for k, run in itertools.groupby(net._shapes, key=operator.itemgetter(1)):
-        counts = [m for m, _ in run]
-        yield k, start[k], counts
-        start[k] += sum(counts)
-
-
 def _level_batches(net: Network, stride: int):
     """The levels of net in order, as batches of at most
-    max(1, _LEVEL_SLOTS // stride) consecutive levels of one arity: (the
-    batch's first level, its level count, its rows with stride times each
-    level's place in the batch added, column-major like the groups). With
-    every position below stride, each level of a batch has its own slots."""
+    max(1, _LEVEL_SLOTS // stride) whole consecutive levels of one arity:
+    (the batch's first level, its levels' row counts, their rows, a
+    read-only row range of the arity group)."""
+    per = max(1, _LEVEL_SLOTS // stride)
+    start = dict.fromkeys(net.arity_groups(), 0)
     li = 0
-    for k, first, counts in _level_runs(net):
-        per = max(1, _LEVEL_SLOTS // stride)
+    for k, run in itertools.groupby(net._shapes, key=operator.itemgetter(1)):
+        counts = [m for m, _ in run]
         for at in range(0, len(counts), per):
             batch = counts[at : at + per]
-            rows = net.arity_groups()[k][first : first + sum(batch)]
-            shift = np.repeat(np.arange(0, len(batch) * stride, stride), batch)
-            yield li, len(batch), (rows.T + shift).T
-            first += len(rows)
+            rows = net.arity_groups()[k][start[k] : start[k] + sum(batch)]
+            yield li, batch, rows
+            start[k] += len(rows)
             li += len(batch)
+
+
+def _shifted(rows: np.ndarray, counts: list[int], stride: int) -> np.ndarray:
+    """A batch's rows with stride times each level's place in the batch
+    added, column-major like the groups. With every position below stride,
+    each level of the batch has its own slots."""
+    shift = np.repeat(np.arange(0, len(counts) * stride, stride), counts)
+    return (rows.T + shift).T
 
 
 class Network:
@@ -646,12 +643,11 @@ def validate_network(net: Network) -> ValidationReport:
     return ValidationReport(not v, v)
 
 
-# Most slots one batch takes: levels times stride in a batch of
-# _level_batches (the span of _level_violations' bitmap, N in
-# engine.partial_rank_table), and indices in a batch of network_to_json.
-# Formatting binary N = 512 at 2**12 to 2**17 indices a batch took the same
-# time; from 2**17 on, a batch's temporaries outgrew the text and raised its
-# peak memory.
+# Most slots one batch of _level_batches takes, levels times stride: the
+# span of _level_violations' bitmap, N in engine.partial_rank_table, and in
+# network_to_json the most indices a level holds. Formatting binary N = 512
+# at 2**12 to 2**17 indices a batch took the same time; from 2**17 on, a
+# batch's temporaries outgrew the text and raised its peak memory.
 _LEVEL_SLOTS = 2**16
 
 
@@ -664,24 +660,24 @@ def _repeats(codes: np.ndarray) -> np.ndarray:
 def _level_violations(net: Network, shapes) -> list[str]:
     """Overlap lines, then coverage lines for divisor and prime, for every level.
 
-    A batch of _level_batches at a time, its codes level * span + position,
-    span one past the largest position named. When the batch fits, a bitmap
-    passes it if its codes set as many bits as there are codes. Otherwise
-    the batch's sorted codes give its repeats, so no array is sized by span;
-    only levels with a repeat are gone through one by one. Without repeats,
-    m rows of k distinct positions in [0, N) cover all N exactly when
-    m * k = N.
+    A batch of _level_batches at a time, its codes level * span + position
+    (_shifted), span one past the largest position named. When the batch
+    fits, a bitmap passes it if its codes set as many bits as there are
+    codes. Otherwise the batch's sorted codes give its repeats, so no array
+    is sized by span; only levels with a repeat are gone through one by one.
+    Without repeats, m rows of k distinct positions in [0, N) cover all N
+    exactly when m * k = N.
     """
     n = net.n
     # rows increase, so each group's largest position is in its last column
     span = 1 + max((int(idx[:, -1].max()) for idx in net.arity_groups().values()), default=0)
     distinct = [m * k for m, k in shapes]
     v = []
-    for first, count, codes in _level_batches(net, span):
-        codes = codes.ravel(order="K")
+    for first, counts, rows in _level_batches(net, span):
+        codes = _shifted(rows, counts, span).ravel(order="K")
         if span <= _LEVEL_SLOTS:
             # about five times faster than sorting, for a batch that passes
-            seen = np.zeros(count * span, dtype=bool)
+            seen = np.zeros(len(counts) * span, dtype=bool)
             seen[codes] = True
             if np.count_nonzero(seen) == codes.size:
                 continue
@@ -898,10 +894,10 @@ def _fields(fields: np.ndarray, values: np.ndarray, chunks: int) -> None:
             fields[:, :, unit] |= _DIGITS[code]
 
 
-def _rows_json(rows: np.ndarray, starts: list[int], first: bool) -> str:
-    """The text of rows (m, k), consecutive rows of one arity group in level
-    order, each with its leader: starts are the rows that begin a level, and
-    first marks rows[0] as the network's first row.
+def _rows_json(rows: np.ndarray, counts: list[int], first: bool) -> str:
+    """The text of rows (m, k), whole consecutive levels of one arity group
+    of the given row counts, each row with its leader: first marks rows[0]
+    as the network's first row.
 
     Each row is laid out as uint64 units: its leader, the prefix, then k
     fixed-width fields of digits and ', ' or ']}', NUL-padded; one translate
@@ -913,7 +909,7 @@ def _rows_json(rows: np.ndarray, starts: list[int], first: bool) -> str:
     units = (chunks + 1) // 2
     out = np.empty((m, 3 + k * units), dtype=np.uint64)
     out[:, 0] = _COMMA
-    out[starts, 0] = _BREAK
+    out[list(itertools.accumulate(counts[:-1], initial=0)), 0] = _BREAK
     if first:
         out[0, 0] = _OPEN
     out[:, 1], out[:, 2] = _PREFIX
@@ -921,27 +917,13 @@ def _rows_json(rows: np.ndarray, starts: list[int], first: bool) -> str:
     return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _row_batches(net: Network):
-    """The rows of net in level order, as (rows, starts): rows are at most
-    max(1, _LEVEL_SLOTS // k) consecutive rows of one run of _level_runs,
-    and starts the rows of rows that begin a level. A batch may end inside
-    a level."""
-    for k, begin, counts in _level_runs(net):
-        firsts = list(itertools.accumulate(counts[:-1], initial=begin))
-        stop = begin + sum(counts)
-        per = max(1, _LEVEL_SLOTS // k)
-        for a in range(begin, stop, per):
-            b = min(a + per, stop)
-            lo, hi = bisect.bisect_left(firsts, a), bisect.bisect_left(firsts, b)
-            yield net.arity_groups()[k][a:b], [f - a for f in firsts[lo:hi]]
-
-
 def network_to_json(net: Network) -> str:
     """The network document, byte for byte as json.dumps writes it:
     ``{"n": N, "builder": name, "levels": [[{"indices": [...]}, ...], ...]}``.
 
-    Rows are formatted by numpy, at most _LEVEL_SLOTS indices at a time,
-    from a table of 3-digit chunks, so memory follows the indices written
+    Rows are formatted by numpy, a batch of whole levels at a time, at most
+    _LEVEL_SLOTS indices unless one level holds more, from a table of
+    3-digit chunks, so memory follows the indices written
     and not the largest position N names. Raises DimensionError, before
     formatting any level, when a bound on the text's bytes from the group
     shapes exceeds the 2**31-byte budget that bounds the checks (binary N
@@ -953,7 +935,8 @@ def network_to_json(net: Network) -> str:
 
 def _json_pieces(net: Network):
     """The text of network_to_json in order: the header, each batch of
-    _row_batches, then the closing brackets. The budget is checked first."""
+    _level_batches, its stride the most indices a level holds, then the
+    closing brackets. The budget is checked first."""
     head = f'{{"n": {net.n}, "builder": {json.dumps(net.builder.value)}, "levels": ['
     # a row is '{"indices": [' and ']}, ' around its k indices, each of at
     # most `digits` digits and ', '; a level adds '[', ']' and ', '
@@ -961,10 +944,9 @@ def _json_pieces(net: Network):
     rows = sum(len(g) * (17 + k * (digits + 2)) for k, g in net.arity_groups().items())
     _within_budget(len(head) + rows + 4 * len(net._shapes) + 2, net.n)
     yield head
-    first = True
-    for batch, starts in _row_batches(net):
-        yield _rows_json(batch, starts, first)
-        first = False
+    widest = max((m * k for m, k in net._shapes), default=1)
+    for first, counts, rows in _level_batches(net, widest):
+        yield _rows_json(rows, counts, first == 0)
     yield "]]}" if net._shapes else "]}"
 
 

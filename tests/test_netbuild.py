@@ -893,15 +893,34 @@ class TestSerialization:
 
     @pytest.mark.parametrize("slots", [1, 5, 2**16])
     def test_json_matches_json_dumps(self, monkeypatch, slots):
-        # slots 1 writes a row a batch, 5 two rows of two: batches that end
-        # inside a level, and batches that hold several one-row levels
+        # slots 1 and 5 write a level a batch, below the 6 indices of the
+        # widest level of WRITER_NETWORKS[2]; 2**16 writes several levels a
+        # batch where consecutive levels share an arity
         monkeypatch.setattr(netbuild, "_LEVEL_SLOTS", slots)
         built = [build_network(n, b) for n in (2, 3, 12, 30, 64) for b in Builder]
         for net in WRITER_NETWORKS + built:
             assert network_to_json(net) == dumped(net), (net.n, net.builder)
-        batches = list(netbuild._row_batches(WRITER_NETWORKS[2]))
-        assert any(0 not in starts for _, starts in batches) is (slots < 2**16)
-        assert any(len(starts) > 1 for _, starts in batches) is (slots > 1)
+        walks = []
+        level_batches = netbuild._level_batches
+
+        def walk(net, stride):
+            walks.append((stride, list(level_batches(net, stride))))
+            return iter(walks[-1][1])
+
+        net = WRITER_NETWORKS[2]
+        monkeypatch.setattr(netbuild, "_level_batches", walk)
+        assert network_to_json(net) == dumped(net)
+        [(stride, batches)] = walks
+        assert stride == 6
+        levels = [lv.indices for lv in net.levels]
+        assert [m for _, counts, _ in batches for m in counts] == [len(idx) for idx in levels]
+        at = 0
+        for first, counts, rows in batches:
+            # whole levels, the batch beginning where the one before it ended
+            assert first == at
+            assert np.array_equal(rows, np.concatenate(levels[first : first + len(counts)]))
+            at += len(counts)
+        assert any(len(counts) > 1 for _, counts, _ in batches) is (slots >= 2 * stride)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
