@@ -169,6 +169,7 @@ class ComplexityProfile:
 
 
 def complexity_profile(n: int) -> ComplexityProfile:
+    n = _size(n)
     lev = level_coefficients(n)
     comp = comparator_coefficients(n)
     return ComplexityProfile(

@@ -58,7 +58,7 @@ import numpy as np
 from .errors import DimensionError, PermutationError, ValidationError
 from .netbuild import (
     Builder, Network, _array, _builder, _int64_array, _level_batches, _network, _require_valid,
-    _runs, _shifted,
+    _runs, _shifted, _within_budget,
 )
 from .rankcore import as_keys
 
@@ -276,10 +276,13 @@ def partial_rank_table(net: Network, x) -> PartialRankTable:
 
     The columns are row views of one (L, N) array, filled a batch of
     netbuild._level_batches at a time, at most _LEVEL_SLOTS // N levels, by
-    one _accumulate of the batch's rows shifted by N a level.
+    one _accumulate of the batch's rows shifted by N a level. Raises
+    DimensionError, before allocating, when that array would exceed the
+    2**31-byte budget that bounds the checks.
     """
     a = _keys(net, x)
     n = net.n
+    _within_budget(8 * len(net._shapes) * n, n)
     levels = np.zeros((len(net._shapes), n), dtype=np.int64)
     tiled = a[:0]
     for first, counts, rows in _level_batches(net, n):
@@ -295,7 +298,7 @@ def table_to_csv(table: PartialRankTable, x=None) -> str:
     """CSV layout mirroring the partial-rank tables: row per position."""
     if not isinstance(table, PartialRankTable):
         raise ValidationError(f"expected a PartialRankTable, got {type(table).__name__}")
-    if x is not None and len(x) != table.n:
+    if x is not None and len(_array(x, "x", 1)) != table.n:
         raise DimensionError(f"x has length {len(x)}, table has {table.n} rows")
     buf = io.StringIO()
     w = csv.writer(buf)

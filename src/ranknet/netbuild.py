@@ -130,12 +130,13 @@ class Comparator:
 
 
 def _int64_array(values, a: np.ndarray) -> np.ndarray:
-    """a, numpy's array of values; but values as int64 when a is a float or
-    object array and every entry of values is an integer within int64.
-    numpy promotes a mix of uint64 and int64 scalars to float64, and holds
-    an integer outside int64 beside others as a float or an object: raises
-    OverflowError carrying the first such integer."""
-    if a.dtype.kind not in "fO" or isinstance(values, np.ndarray):
+    """a, numpy's array of values; but values as int64 when a is an object
+    array, or a float array that values is not, and every entry of values is
+    an integer within int64. numpy promotes a mix of uint64 and int64
+    scalars to float64, and holds an integer outside int64 beside others as
+    a float or an object: raises OverflowError carrying the first such
+    integer."""
+    if a.dtype.kind not in "fO" or (a.dtype.kind == "f" and isinstance(values, np.ndarray)):
         return a
     integers = True
     for v in np.array(values, dtype=object).ravel().tolist():
@@ -244,13 +245,14 @@ def _level_batches(net: Network, stride: int):
     (the batch's first level, its levels' row counts, their rows, a
     read-only row range of the arity group)."""
     per = max(1, _LEVEL_SLOTS // stride)
-    start = dict.fromkeys(net.arity_groups(), 0)
+    groups = net.arity_groups()
+    start = dict.fromkeys(groups, 0)
     li = 0
     for k, run in itertools.groupby(net._shapes, key=operator.itemgetter(1)):
         counts = [m for m, _ in run]
         for at in range(0, len(counts), per):
             batch = counts[at : at + per]
-            rows = net.arity_groups()[k][start[k] : start[k] + sum(batch)]
+            rows = groups[k][start[k] : start[k] + sum(batch)]
             yield li, batch, rows
             start[k] += len(rows)
             li += len(batch)
@@ -696,9 +698,9 @@ def _level_violations(net: Network, shapes) -> list[str]:
 
 
 # Most bytes one array of a network or of its checks may take, an arity
-# group or the N*N pair bitmap, and the bytes of a network's JSON text.
-# 2**31 admits a binary network for N up to 16384 and a bitmap for N up to
-# 46340.
+# group, the N*N pair bitmap or a partial-rank table, and the bytes of a
+# network's JSON text or of its DOT text's position lines. 2**31 admits a
+# binary network for N up to 16384 and a bitmap for N up to 46340.
 _CHECK_BYTES = 2**31
 
 
@@ -1030,9 +1032,15 @@ def network_to_dot(net: Network) -> str:
     """Graphviz rendering: one cluster per level, one node per comparator.
 
     Each input position feeds its comparators; every comparator feeds the
-    shared adder node that sums the partial ranks.
+    shared adder node that sums the partial ranks. Raises DimensionError,
+    before writing anything, when the node lines of the N positions would
+    exceed the 2**31-byte budget that bounds the checks: the one part of
+    the text that grows with N alone, not with the indices the network
+    holds, so that one comparator on 2**32 positions is refused at once.
     """
     _network(net)
+    # each line is 34 bytes and the position twice
+    _within_budget(net.n * (34 + 2 * len(str(net.n - 1))), net.n)
     out = ["digraph ranknet {", "  rankdir=LR;"]
     out += [f'  x{i} [label="x{i}", shape=plaintext];' for i in range(net.n)]
     out.append('  adder [label="+", shape=doublecircle];')

@@ -177,6 +177,13 @@ class TestProfile:
         assert prof.total_comparators == sum(prof.comparator_coeffs.values())
         assert prof.binary_equivalent == 66
 
+    def test_n_is_an_int(self):
+        # a numpy integer was kept as given, where every counting function
+        # returns Python ints
+        prof = complexity_profile(np.int64(12))
+        assert type(prof.n) is int
+        assert prof == complexity_profile(12)
+
     def test_csv_dump(self):
         text = profile_csv(8, per_prime=True)
         lines = text.strip().splitlines()

@@ -1,3 +1,5 @@
+import csv
+import io
 import tracemalloc
 from itertools import combinations, permutations
 
@@ -415,6 +417,37 @@ class TestPartialRankTable:
         assert lines[1] == "0,5,2,0,0,0,0,2"
         assert len(lines) == 9
 
+    def test_refuses_a_table_past_the_budget(self, monkeypatch):
+        # one pair a level passes the pair check; at N = 1000 its 499,500
+        # levels would need a 4 GB table, here 780 levels of 40 need 249,600
+        # bytes, and the groups 12,480
+        net = Network(40, [[pair] for pair in combinations(range(40), 2)], "binary")
+        x = np.arange(40)[::-1]
+        monkeypatch.setattr(netbuild, "_CHECK_BYTES", 8 * 780 * 40 - 1)
+        with pytest.raises(DimensionError, match="needs 249600 bytes"):
+            partial_rank_table(net, x)
+        monkeypatch.setattr(netbuild, "_CHECK_BYTES", 8 * 780 * 40)
+        assert partial_rank_table(net, x).total.tolist() == stable_rank(x).tolist()
+
+    @pytest.mark.parametrize(
+        "x", [5, (v for v in range(4)), np.zeros((4, 2)), [[1], [2], [3], [4]], [[1, 2], [3]]],
+        ids=["scalar", "generator", "2-d", "column", "ragged"],
+    )
+    def test_csv_refuses_x_that_is_no_vector(self, x):
+        # the scalar and the generator raised a raw TypeError; the arrays
+        # were written as cells such as "[0. 0.]"
+        table = partial_rank_table(divisor_network(4), [4, 3, 2, 1])
+        with pytest.raises(DimensionError, match="x must be 1-D"):
+            table_to_csv(table, x)
+
+    @pytest.mark.parametrize(
+        "x", [[7, 2.5, "a", -1], np.array([0.5, 1.0, 2.0, 3.0]), np.arange(4), ("b", "a", "d", "c")]
+    )
+    def test_csv_writes_each_entry_of_x_as_given(self, x):
+        table = partial_rank_table(divisor_network(4), [4, 3, 2, 1])
+        rows = list(csv.reader(io.StringIO(table_to_csv(table, x))))
+        assert [row[1] for row in rows[1:]] == [str(v) for v in x]
+
     @pytest.mark.parametrize("x", [[1, 2], [1, 2, 3, 4, 5]])
     def test_csv_rejects_x_of_other_length(self, x):
         # a shorter x raised a raw IndexError, a longer one was cut silently
@@ -465,6 +498,13 @@ class TestApplyPermutation:
         # numpy reads the list as objects, and the message blamed that dtype
         with pytest.raises(PermutationError, match=f"pi holds {2**64}, past int64"):
             apply_permutation([1, 2], [2**64, 0])
+
+    def test_takes_an_object_array_of_integers(self):
+        # it was returned unscanned, and refused for its dtype
+        pi = np.array([1, 0], dtype=object)
+        assert apply_permutation([1, 2], pi).tolist() == [2, 1]
+        with pytest.raises(PermutationError, match=f"pi holds {2**64}, past int64"):
+            apply_permutation([1, 2], np.array([2**64, 0], dtype=object))
 
     def test_sorted_and_stable(self):
         rng = np.random.default_rng(4)

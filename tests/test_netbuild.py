@@ -966,3 +966,30 @@ class TestSerialization:
         assert dot.count('label="C_2"') == 9
         assert dot.count("subgraph cluster_") == 4
         assert "adder" in dot
+
+    @pytest.mark.parametrize("net", [
+        Network(1, [], "binary"),
+        Network(10**6, [[(0, 1)]], "binary"),
+        WRITER_NETWORKS[2],
+        Network(40, [[pair] for pair in itertools.combinations(range(40), 2)], "binary"),
+        *(build_network(n, b) for n, b in ((16, "binary"), (99, "divisor"), (101, "prime"))),
+    ], ids=["empty", "wide", "mixed", "pairs", "binary", "divisor", "prime"])
+    def test_dot_budget(self, monkeypatch, net):
+        # a budget one byte below the node lines of the positions stands in
+        # for lines that would not fit: N = 10**6 with one comparator wrote
+        # 45.8 MB under a budget of 1000 bytes. The bound is taken from N,
+        # before anything is written
+        text = network_to_dot(net)
+        positions = sum(len(line) + 1 for line in text.splitlines()[2 : 2 + net.n])
+        monkeypatch.setattr(netbuild, "_CHECK_BYTES", positions - 1)
+        with pytest.raises(DimensionError, match="needs") as raised:
+            network_to_dot(net)
+        bound = int(re.search(r"needs (\d+) bytes", str(raised.value))[1])
+        assert positions <= bound <= 2 * positions
+        monkeypatch.setattr(netbuild, "_CHECK_BYTES", bound)
+        assert network_to_dot(net) == text
+
+    def test_dot_refuses_2_32_positions_at_once(self):
+        # one node line a position: about 200 GB of text
+        with pytest.raises(DimensionError, match=f"N = {2**32} needs"):
+            network_to_dot(Network(2**32, [[(0, 1)]], "binary"))

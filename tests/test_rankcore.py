@@ -228,6 +228,16 @@ class TestIntegerMatrixRank:
         with pytest.raises(DomainError, match=f"entry {2**63} is past int64"):
             integer_matrix_rank([[2**63, 0], [0, 1]])
 
+    def test_reads_an_object_array_as_its_list(self):
+        # an object array was returned unscanned and refused as "dtype object"
+        m = [[2, 1], [4, 2]]
+        assert integer_matrix_rank(np.array(m, dtype=object)) == integer_matrix_rank(m) == 1
+        with pytest.raises(DomainError, match=f"entry {2**64} is past int64"):
+            integer_matrix_rank(np.array([[2**64, 0], [0, 1]], dtype=object))
+        # a float array is left as it is, and refused for its dtype
+        with pytest.raises(DomainError, match="dtype float64"):
+            integer_matrix_rank(np.array(m, dtype=float))
+
 
 class TestHalfVectorize:
     def test_ordering_example(self):
