@@ -969,7 +969,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("net", [
         Network(1, [], "binary"),
-        Network(10**6, [[(0, 1)]], "binary"),
+        Network(10**5, [[(0, 1)]], "binary"),
         WRITER_NETWORKS[2],
         Network(40, [[pair] for pair in itertools.combinations(range(40), 2)], "binary"),
         *(build_network(n, b) for n, b in ((16, "binary"), (99, "divisor"), (101, "prime"))),
